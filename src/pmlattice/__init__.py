@@ -21,7 +21,7 @@ from .graph import (Cut, MultiGraph, Shore, contract_shore, five_cycles,
                     girth, is_bipartite, is_petersen, make_cut, make_shore,
                     petersen_graph, simplify)
 from .linalg import (Lattice, hnf, lattice_equal, lattice_index,
-                     lattice_member, rank, saturation, snf, solve)
+                     lattice_member, rank, saturation, snf)
 from .matchings import (PerfectMatching, enumerate_perfect_matchings,
                         extend_across_cut, idp_decompose, is_matching_covered)
 from .polytope import (CutClass, Face, classify_cut, cuts_equivalent,

@@ -122,6 +122,11 @@ def dump_graph_file(name: str, g: MultiGraph) -> str:
     return json.dumps(graph_to_file_dict(name, g), indent=2) + "\n"
 
 
+def _is_json_int(x) -> bool:
+    # bool is an int subclass, but JSON true/false is not an integer
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_graph_file(text: str) -> tuple[str, MultiGraph]:
     """Parse and validate a GraphFile; raises ValueError on any violation."""
     data = json.loads(text)
@@ -130,14 +135,14 @@ def parse_graph_file(text: str) -> tuple[str, MultiGraph]:
     name = data.get("name")
     n = data.get("vertex_count")
     edges = data.get("edges")
-    if not isinstance(name, str) or not isinstance(n, int) or not isinstance(edges, list):
+    if not isinstance(name, str) or not _is_json_int(n) or not isinstance(edges, list):
         raise ValueError("GraphFile needs string 'name', integer 'vertex_count', list 'edges'")
     triples = []
     for item in edges:
         if not isinstance(item, dict) or set(item) != {"id", "u", "v"}:
             raise ValueError("each edge must be an object with keys id, u, v")
         eid, u, v = item["id"], item["u"], item["v"]
-        if not all(isinstance(x, int) for x in (eid, u, v)):
+        if not all(_is_json_int(x) for x in (eid, u, v)):
             raise ValueError("edge fields must be integers")
         if u == v:
             raise ValueError(f"self-loop on vertex {u}")

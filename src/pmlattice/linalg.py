@@ -1,7 +1,9 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Rationals are ``fractions.Fraction`` (canonical by construction); integer
-matrices are plain lists of Python ints, so nothing here ever rounds.
+Matrices are plain lists of Python ints, so nothing here ever rounds.
+:func:`rank`, and :func:`affine_dim` on top of it, eliminate fraction-free
+over the integers (Bareiss); ``fractions.Fraction`` is accepted only as an
+input entry and is scaled away before elimination.
 The row-style Hermite normal form computed by :func:`hnf` is THE canonical
 form used for every lattice comparison in the package: positive pivots,
 entries above a pivot reduced into ``[0, pivot)``.
@@ -11,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Sequence
 
 Row = Sequence[int]
@@ -26,58 +30,50 @@ def _check_rect(m: Sequence[Row]) -> int:
     return width
 
 
+def _integer_row(r: Sequence[int | Fraction]) -> list[int]:
+    """The row times the lcm of its denominators: same span, integer entries."""
+    den = lcm(*(x.denominator for x in r))
+    return [x.numerator * (den // x.denominator) for x in r]
+
+
 def rank(m: Sequence[Sequence[int | Fraction]]) -> int:
-    """Exact rank by fraction-based Gaussian elimination."""
+    """Exact rank by fraction-free (Bareiss) integer elimination.
+
+    Entries are ints or ``Fraction``s.  A matrix with a ``Fraction`` entry
+    has each row scaled by the lcm of its denominators first, which leaves
+    the rank unchanged, so elimination only ever sees Python ints.
+
+    Each step takes a remaining row as pivot row, its first nonzero entry
+    ``p`` as pivot, and replaces every other remaining row by
+    ``(p * row - a * pivot_row) // prev``, where ``a`` is the row's entry
+    in the pivot column and ``prev`` the previous pivot (1 at first).  By
+    Sylvester's identity every entry is then a minor of the input, so the
+    division is exact; this needs rows with ``a == 0`` rescaled to
+    ``p * row // prev`` as well.  Rows that become zero are dropped; the
+    rank is the number of pivots.
+    """
     _check_rect(m)
-    rows = [[Fraction(x) for x in r] for r in m]
-    rnk = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        piv = next((i for i in range(rnk, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rnk], rows[piv] = rows[piv], rows[rnk]
-        prow = rows[rnk]
-        inv = 1 / prow[col]
-        for i in range(rnk + 1, len(rows)):
-            if rows[i][col] != 0:
-                factor = rows[i][col] * inv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], prow)]
+    if set(map(type, chain.from_iterable(m))) <= {int}:
+        rows = [r for r in m if any(r)]
+    else:
+        rows = [_integer_row(r) for r in m if any(r)]
+    rnk, prev = 0, 1
+    while rows:
+        prow = rows.pop()
+        col = next(j for j, x in enumerate(prow) if x)
+        p = prow[col]
+        rest = []
+        for row in rows:
+            a = row[col]
+            if a:
+                row = [(p * x - a * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                row = [p * x // prev for x in row]
+            if any(row):
+                rest.append(row)
+        rows, prev = rest, p
         rnk += 1
     return rnk
-
-
-def solve(m: Sequence[Sequence[int | Fraction]], b: Sequence[int | Fraction]) -> list[Fraction] | None:
-    """One exact solution of ``m x = b``, or None if the system is infeasible."""
-    width = _check_rect(m)
-    if len(b) != len(m):
-        raise ValueError("right-hand side length mismatch")
-    if not m:
-        return [Fraction(0)] * 0
-    aug = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(m, b)]
-    piv_cols: list[int] = []
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        prow = aug[r]
-        inv = 1 / prow[col]
-        aug[r] = [x * inv for x in prow]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * c for a, c in zip(aug[i], aug[r])]
-        piv_cols.append(col)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][width] != 0:
-            return None
-    sol = [Fraction(0)] * width
-    for i, col in enumerate(piv_cols):
-        sol[col] = aug[i][width]
-    return sol
 
 
 def affine_dim(vectors: Sequence[Sequence[int | Fraction]]) -> int:
@@ -85,7 +81,7 @@ def affine_dim(vectors: Sequence[Sequence[int | Fraction]]) -> int:
     if not vectors:
         return -1
     base = vectors[0]
-    diffs = [[Fraction(x) - Fraction(y) for x, y in zip(v, base)] for v in vectors[1:]]
+    diffs = [[x - y for x, y in zip(v, base)] for v in vectors[1:]]
     return rank(diffs) if diffs else 0
 
 

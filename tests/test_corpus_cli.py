@@ -132,6 +132,26 @@ def test_cli_malformed_input(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"name": "x", "vertex_count": 2, "edges": [{"id": False, "u": 0, "v": True}]},
+    {"name": "x", "vertex_count": 2, "edges": [{"id": 0, "u": False, "v": 1}]},
+    {"name": "x", "vertex_count": True, "edges": []},
+])
+def test_graph_file_rejects_booleans(tmp_path, capsys, doc):
+    text = json.dumps(doc)
+    with pytest.raises(ValueError):
+        parse_graph_file(text)
+    path = tmp_path / "bool.json"
+    path.write_text(text)
+    code = main(["pm", "count", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert report["status"] == "error"
+    assert report["result"]["error"] == "ValueError"
+    assert "Traceback" not in captured.err
+
+
 def test_cli_cap_exceeded(tmp_path, capsys):
     path = tmp_path / "big.json"
     _run(["corpus", "emit", "pete-k4-splice", "--output", str(path)], capsys)

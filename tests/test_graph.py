@@ -1,6 +1,7 @@
 import random
 from itertools import permutations
 
+import networkx as nx
 import pytest
 
 from pmlattice.errors import PreconditionViolated
@@ -116,7 +117,10 @@ def test_is_petersen_agrees_with_full_isomorphism(corpus):
     candidates += [c10, mobius]
     target = petersen_graph()
     for g in candidates:
-        assert is_petersen(g) == graph_isomorphic(simplify(g)[0], target)
+        simple = simplify(g)[0]
+        assert is_petersen(g) == graph_isomorphic(simple, target)
+        other = nx.Graph((u, v) for _, u, v in simple.edges)
+        assert is_petersen(g) == nx.is_isomorphic(other, nx.petersen_graph())
 
 
 def test_graph_isomorphic_examples(corpus):

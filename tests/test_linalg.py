@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pmlattice.corpus import corpus_graph
+from pmlattice.corpus import corpus_graph, random_matching_covered
 from pmlattice.linalg import (Lattice, affine_dim, gf2_kernel, hnf,
                               integer_kernel, lattice_equal, lattice_index,
-                              lattice_member, rank, saturation, snf, solve,
-                              xgcd)
+                              lattice_member, rank, saturation, snf, xgcd)
 from pmlattice.matchings import enumerate_perfect_matchings, incidence_vectors
 
-from conftest import oracle_rank
+from conftest import oracle_affine_dim, oracle_rank
 
 
 def _petersen_vectors():
@@ -24,21 +27,78 @@ def test_rank_examples():
     vecs = _petersen_vectors()
     assert len(vecs) == 6
     assert rank(vecs) == 6 == oracle_rank(vecs)
+    # full rank; with (0, 2, 0) as first pivot row the other rows have a zero
+    # under the pivot, and unless Bareiss still rescales them the next
+    # division truncates to rank 2
+    assert rank([[1, 0, 0], [1, 0, -1], [0, 2, 0]]) == 3
 
 
-def test_solve_and_substitute():
-    rng = random.Random(3)
-    for _ in range(25):
-        rows = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(3)]
-        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)]
-        b = [sum(r * v for r, v in zip(row, x)) for row in rows]
-        sol = solve(rows, b)
-        assert sol is not None
-        assert all(sum(r * v for r, v in zip(row, sol)) == bv
-                   for row, bv in zip(rows, b))
-    assert solve([[1, 0], [1, 0]], [0, 1]) is None
-    with pytest.raises(ValueError):
-        solve([[1, 0]], [1, 2])
+# free rows weighted up: a rank fault needs several independent rows
+_ROW_KINDS = ("free", "free", "free", "zero", "copy", "sum")
+
+
+@st.composite
+def _matrices(draw, entry_kinds):
+    """Up to 12x12, with zero columns and rows that are zero, copies or
+    integer combinations of earlier rows, so rank deficiency is common.
+    One matrix draws all its free entries from one of ``entry_kinds``."""
+    entries = draw(st.sampled_from(entry_kinds))
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1))) if ncols else set()
+    rows = []
+    for i in range(nrows):
+        kind = draw(st.sampled_from(_ROW_KINDS) if i else st.just("free"))
+        if kind == "free":
+            row = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        elif kind == "zero":
+            row = [0] * ncols
+        elif kind == "copy":
+            row = list(rows[draw(st.integers(0, i - 1))])
+        else:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            row = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+        rows.append([0 if c in zero_cols else x for c, x in enumerate(row)])
+    return rows
+
+
+def _sympy_rank(rows) -> int:
+    ncols = len(rows[0]) if rows else 0
+    flat = [sympy.Rational(x.numerator, x.denominator) for row in rows for x in row]
+    return sympy.Matrix(len(rows), ncols, flat).rank()
+
+
+# sparse small entries leave many rows with a zero under a pivot
+_INTEGERS = (st.sampled_from((0, 1, 2, -1)), st.integers(-2, 2),
+             st.integers(-10**6, 10**6))
+_FRACTIONS = (st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(_INTEGERS))
+def test_rank_matches_oracles_on_integer_matrices(rows):
+    assert rank(rows) == oracle_rank(rows) == _sympy_rank(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(_FRACTIONS))
+def test_rank_matches_oracles_on_fraction_matrices(rows):
+    assert rank(rows) == oracle_rank(rows) == _sympy_rank(rows)
+
+
+@cache
+def _random_graph_vectors():
+    _, g = random_matching_covered(8, 12, 3)
+    return incidence_vectors(g, enumerate_perfect_matchings(g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_affine_dim_matches_oracle_on_matching_subsets(data):
+    vecs = _random_graph_vectors()
+    order = data.draw(st.lists(st.sampled_from(range(len(vecs))), unique=True))
+    picked = [vecs[i] for i in order]
+    assert affine_dim(picked) == oracle_affine_dim(picked)
 
 
 def test_xgcd():
