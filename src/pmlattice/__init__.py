@@ -14,7 +14,7 @@ from .corpus import (CORPUS_NAMES, corpus_graph, dump_graph_file,
                      parse_graph_file, random_matching_covered)
 from .decomposition import (DecompTree, barrier_of_tight_cut, brick_count,
                             find_tight_cut, is_near_brick, parity_sets,
-                            petersen_bricks, tight_cut_decomposition)
+                            petersen_bricks, tight_cut_decomposition, tight_shores)
 from .errors import (PmLatticeError, PreconditionViolated, TheoremFalsified,
                      VertexCapExceeded)
 from .graph import (Cut, MultiGraph, Shore, contract_shore, five_cycles,

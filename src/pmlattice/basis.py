@@ -18,11 +18,12 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .decomposition import (brick_count, canonical_parity_cycle,
-                            find_tight_cut, petersen_bricks, parity_sets)
+                            find_tight_cut, petersen_bricks, parity_sets,
+                            tight_shores)
 from .errors import PreconditionViolated, TheoremFalsified
 from .graph import (Cut, MultiGraph, boundary, contract_shore,
                     cut_contractions, five_cycles, is_petersen, make_cut,
-                    odd_shores, shore_complement, shore_index_map, simplify)
+                    shore_complement, shore_index_map, simplify)
 from .linalg import (Lattice, gf2_kernel, hnf, lattice_equal, lattice_index,
                      lattice_member, rank, saturation)
 from .matchings import (PerfectMatching, _is_perfect_matching_of,
@@ -490,25 +491,16 @@ def _adjust_cut(g: MultiGraph, cut: Cut, m: PerfectMatching,
         x = frozenset(side)
         for _ in range(g.vertex_count):
             kept = contract_shore(g, x)
-            if find_tight_cut(kept) is None:
+            shores_h = tight_shores(kept)
+            if not shores_h:
                 if not is_petersen(kept):
                     raise _GuidedStall
                 break
             c_vertex = len(x)
             back = {new: old for old, new in shore_index_map(x).items()}
-            tight_zs = []
-            for shore_h in odd_shores(kept):
-                edges = boundary(kept, shore_h)
-                if all(len(mm.edge_ids & edges) == 1
-                       for mm in enumerate_perfect_matchings(kept)):
-                    # representative side avoiding the contraction vertex
-                    if c_vertex in shore_h:
-                        z_h = tuple(sorted(set(range(kept.vertex_count)) - set(shore_h)))
-                    else:
-                        z_h = tuple(sorted(shore_h))
-                    tight_zs.append(z_h)
-            if not tight_zs:
-                raise _GuidedStall
+            # representative side avoiding the contraction vertex
+            tight_zs = [tuple(sorted(set(range(kept.vertex_count)) - set(shore_h)))
+                        if c_vertex in shore_h else shore_h for shore_h in shores_h]
             z_h = min(tight_zs, key=lambda t: (len(t), t))
             z = frozenset(back[v] for v in z_h)
             new_cut = make_cut(g, z)

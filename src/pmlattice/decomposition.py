@@ -1,10 +1,8 @@
 """Tight cut decomposition into bricks and braces, brick counting,
 Petersen-brick detection, and near-brick barrier extraction.
 
-Contraction keeps edge ids, so leaf-to-root edge provenance is the
-identity on surviving ids; it is still materialized per node because the
-lifting of 5-cycle edge sets out of Petersen leaves is contractually tied
-to it.
+Contraction keeps edge ids, so every node's edge ids are root edge ids and
+edge sets found in a leaf (such as Petersen 5-cycles) need no lifting.
 """
 
 from __future__ import annotations
@@ -14,13 +12,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import PreconditionViolated, TheoremFalsified
-from .graph import (Cut, MultiGraph, boundary, components_minus,
-                    contract_shore, cut_contractions, five_cycles,
-                    is_bipartite, is_petersen, make_cut, odd_shores,
-                    shore_complement, shore_index_map, simplify)
-from .linalg import affine_dim
-from .matchings import (enumerate_perfect_matchings, incidence_vectors,
-                        require_matching_covered)
+from .graph import (Cut, MultiGraph, components_minus, contract_shore,
+                    cut_contractions, five_cycles, is_bipartite, is_petersen,
+                    make_cut, shore_complement, shore_index_map, simplify)
+from .matchings import enumerate_perfect_matchings, require_matching_covered
+from .polytope import dim_by_rank
 
 
 @dataclass(frozen=True)
@@ -28,13 +24,11 @@ class DecompTree:
     """Binary tight-cut decomposition tree rooted at a graph.
 
     Internal nodes carry the tight cut used; leaves carry a label in
-    {"brick", "brace", "petersen_brick"}.  ``provenance`` maps each node
-    edge id to the corresponding root edge id (identity, by the
-    id-preservation contract of contraction).
+    {"brick", "brace", "petersen_brick"}.  Every node's graph keeps the
+    root's ids for its surviving edges.
     """
 
     graph: MultiGraph
-    provenance: tuple[tuple[int, int], ...]
     cut: Cut | None = None
     children: tuple["DecompTree", "DecompTree"] | None = None
     leaf_label: str | None = None
@@ -49,32 +43,52 @@ class DecompTree:
         a, b = self.children
         return a.leaves() + b.leaves()
 
-    def lift(self, eid: int) -> int:
-        for src, dst in self.provenance:
-            if src == eid:
-                return dst
-        raise KeyError(f"edge {eid} not in this node")
 
+def tight_shores(g: MultiGraph) -> list[tuple[int, ...]]:
+    """Every canonical tight shore (vertex 0 inside, 1 < |X| < n-1), in
+    (size, lex) order.
 
-def _tight_shores(g: MultiGraph) -> list[tuple[int, ...]]:
+    An odd cut meets every perfect matching an odd number of times, so a
+    tight cut meets the first matching M0 exactly once: its shore is a
+    union of M0 pairs plus one endpoint of one more pair.  Only those
+    n/2 * 2^(n/2-1) shores are tested, against matching masks over edge
+    positions; a shore's boundary mask is the XOR of its vertex stars.
+    """
+    require_matching_covered(g)
+    n = g.vertex_count
     ms = enumerate_perfect_matchings(g)
+    pos = {eid: i for i, (eid, _, _) in enumerate(g.edges)}
+    star = [0] * n
+    for i, (_, u, v) in enumerate(g.edges):
+        star[u] |= 1 << i
+        star[v] |= 1 << i
+    masks = [sum(1 << pos[eid] for eid in m.edge_ids) for m in ms]
+    # (vertex mask, boundary mask) of every union of M0 pairs
+    unions = [(0, 0)]
+    for _, u, v in (e for e in g.edges if e[0] in ms[0]):
+        unions += [(vm | 1 << u | 1 << v, bm ^ star[u] ^ star[v]) for vm, bm in unions]
     out = []
-    for shore in odd_shores(g):
-        edges = boundary(g, shore)
-        if all(len(m.edge_ids & edges) == 1 for m in ms):
-            out.append(shore)
+    for vm, bm in unions:
+        if not 2 <= vm.bit_count() <= n - 4:
+            continue
+        # the pair holding vertex 0 lies inside, or it is the crossing pair
+        singles = [x for x in range(n) if not vm >> x & 1] if vm & 1 else [0]
+        for x in singles:
+            b = bm ^ star[x]
+            if all((m & b).bit_count() == 1 for m in masks):
+                shore = vm | 1 << x
+                out.append(tuple(v for v in range(n) if shore >> v & 1))
+    out.sort(key=lambda s: (len(s), s))
     return out
 
 
 def find_tight_cut(g: MultiGraph) -> Cut | None:
-    """First tight cut in canonical shore order, or None."""
-    require_matching_covered(g)
-    ms = enumerate_perfect_matchings(g)
-    for shore in odd_shores(g):
-        edges = boundary(g, shore)
-        if all(len(m.edge_ids & edges) == 1 for m in ms):
-            return make_cut(g, shore)
-    return None
+    """First tight cut in canonical shore order, or None.  Exact although
+    :func:`tight_shores` tests only shores crossing the first perfect
+    matching once: an odd cut meets every perfect matching an odd number
+    of times, so a tight cut meets it exactly once."""
+    shores = tight_shores(g)
+    return make_cut(g, shores[0]) if shores else None
 
 
 def _leaf_label(g: MultiGraph) -> str:
@@ -84,16 +98,12 @@ def _leaf_label(g: MultiGraph) -> str:
 
 
 def _build(g: MultiGraph, rng: random.Random | None) -> DecompTree:
-    ident = tuple((eid, eid) for eid in sorted(g.edge_ids))
-    if rng is None:
-        cut = find_tight_cut(g)
-    else:
-        shores = _tight_shores(g)
-        cut = make_cut(g, rng.choice(shores)) if shores else None
-    if cut is None:
-        return DecompTree(g, ident, leaf_label=_leaf_label(g))
+    shores = tight_shores(g)
+    if not shores:
+        return DecompTree(g, leaf_label=_leaf_label(g))
+    cut = make_cut(g, shores[0] if rng is None else rng.choice(shores))
     keep_shore, keep_comp = cut_contractions(g, cut.shore_set)
-    return DecompTree(g, ident, cut=cut,
+    return DecompTree(g, cut=cut,
                       children=(_build(keep_shore, rng), _build(keep_comp, rng)))
 
 
@@ -122,7 +132,7 @@ def brick_count(g: MultiGraph) -> int:
     require_matching_covered(g)
     tree = _decomposition_cached(g)
     b = sum(1 for leaf in tree.leaves() if leaf.leaf_label in ("brick", "petersen_brick"))
-    d = affine_dim(incidence_vectors(g, enumerate_perfect_matchings(g)))
+    d = dim_by_rank(g)
     b_formula = len(g.edges) - g.vertex_count + 1 - d
     if b != b_formula:
         raise TheoremFalsified("brick count equals |E|-|V|+1-dim P(G)", {
@@ -136,7 +146,7 @@ def is_near_brick(g: MultiGraph) -> bool:
 
 
 def petersen_bricks(g: MultiGraph) -> list[tuple[DecompTree, list[tuple[int, ...]]]]:
-    """Petersen-brick leaves with their 5-cycle edge sets lifted to root ids.
+    """Petersen-brick leaves with their 5-cycle edge sets in root ids.
 
     Cycle edges come from the leaf's simplification, so each pair of
     endpoints contributes its lowest-id parallel representative, which is

@@ -65,7 +65,7 @@ def dim_by_rank(g: MultiGraph) -> int:
 @lru_cache(maxsize=None)
 def polytope_dim(g: MultiGraph) -> int:
     """dim P(G), exact; cross-checked against |E| - |V| + 1 - b(G)."""
-    from .decomposition import brick_count  # decomposition does not import us
+    from .decomposition import brick_count  # decomposition imports this module
 
     require_matching_covered(g)
     d = dim_by_rank(g)

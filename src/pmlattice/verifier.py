@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .decomposition import (barrier_of_tight_cut, brick_count,
-                            find_tight_cut, is_near_brick, parity_sets)
+                            find_tight_cut, is_near_brick, parity_sets,
+                            tight_shores)
 from .errors import PreconditionViolated, TheoremFalsified, VertexCapExceeded
 from .graph import (MultiGraph, boundary, contract_shore, cut_contractions,
                     is_bipartite, is_petersen, make_cut, odd_shores,
@@ -135,21 +136,13 @@ def _p_nearbrick(g: MultiGraph, cap: int) -> tuple[str, dict]:
     return "pass", {"separating_cuts": checked}
 
 
-def _tight_cuts(g: MultiGraph):
-    ms = enumerate_perfect_matchings(g)
-    for shore in odd_shores(g):
-        edges = boundary(g, shore)
-        if all(len(m.edge_ids & edges) == 1 for m in ms):
-            yield make_cut(g, shore)
-
-
 def _p_barrier(g: MultiGraph, cap: int) -> tuple[str, dict]:
     if not is_near_brick(g):
         return "pass", {"vacuous": "not a near-brick"}
     check_cap(g, cap)
     barriers = []
-    for cut in _tight_cuts(g):
-        b = barrier_of_tight_cut(g, cut)  # raises on structural failure
+    for shore in tight_shores(g):
+        b = barrier_of_tight_cut(g, make_cut(g, shore))  # raises on structural failure
         barriers.append(sorted(b))
     return "pass", {"tight_cuts": len(barriers), "barriers": barriers}
 
@@ -160,7 +153,7 @@ def _p_fdilift(g: MultiGraph, cap: int) -> tuple[str, dict]:
     check_cap(g, cap)
     d = polytope_dim(g)
     lifted = 0
-    for cut in _tight_cuts(g):
+    for cut in (make_cut(g, shore) for shore in tight_shores(g)):
         for x in (cut.shore_set, shore_complement(g, cut.shore_set)):
             collapse_x = contract_shore(g, shore_complement(g, x))
             keep_x = contract_shore(g, x)

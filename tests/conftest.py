@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths: brute
 force over edge subsets for matchings, permanent recursion for bipartite
-counts, per-edge BFS for girth, and a separate fraction elimination for
-ranks.  They are slower and dumber on purpose.
+counts, per-edge BFS for girth, a separate fraction elimination for
+ranks, and a scan of every odd shore for tight cuts.  They are slower and
+dumber on purpose.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from pmlattice.corpus import CORPUS_NAMES, corpus_graph
 from pmlattice.graph import MultiGraph
+from pmlattice.matchings import enumerate_perfect_matchings
 
 
 @pytest.fixture(scope="session")
@@ -118,3 +120,19 @@ def oracle_affine_dim(points) -> int:
         return -1
     base = points[0]
     return oracle_rank([[a - b for a, b in zip(p, base)] for p in points[1:]])
+
+
+def oracle_tight_shores(g: MultiGraph) -> list[tuple[int, ...]]:
+    """Tight shores by exhaustion: every odd shore containing vertex 0 with
+    1 < |X| < n-1, in (size, lex) order, kept when its boundary meets every
+    perfect matching exactly once."""
+    n = g.vertex_count
+    ms = [m.edge_ids for m in enumerate_perfect_matchings(g)]
+    out = []
+    for size in range(3, n - 1, 2):
+        for rest in combinations(range(1, n), size - 1):
+            shore = {0, *rest}
+            cut = {eid for eid, u, v in g.edges if (u in shore) != (v in shore)}
+            if all(len(m & cut) == 1 for m in ms):
+                out.append((0,) + rest)
+    return out

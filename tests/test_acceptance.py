@@ -14,7 +14,8 @@ from pmlattice.basis import (find_intersection_pair, integral_basis,
                              matching_saturation, merge_bases,
                              merge_coefficients, pm_linear_basis)
 from pmlattice.corpus import CORPUS_NAMES, corpus_graph
-from pmlattice.decomposition import brick_count, petersen_bricks
+from pmlattice.decomposition import (brick_count, petersen_bricks,
+                                     tight_cut_decomposition)
 from pmlattice.errors import PreconditionViolated
 from pmlattice.graph import MultiGraph, cut_contractions
 from pmlattice.linalg import hnf, lattice_equal, lattice_index, rank
@@ -241,3 +242,13 @@ def test_criterion_8_integer_decomposition():
                     for e in m.edge_ids:
                         total[e] += 1
                 assert total == x, name
+
+
+def test_criterion_9_mobius_ladder_decomposition():
+    with criterion(9, "tight cut decomposition of the 24-vertex Moebius ladder", 10.0):
+        n = 24
+        # 2^22 odd shores for an exhaustive scan; 12 * 2^11 tested by the search
+        g = MultiGraph.from_pairs(n, [(i, (i + 1) % n) for i in range(n)]
+                                  + [(i, i + n // 2) for i in range(n // 2)])
+        tree = tight_cut_decomposition(g)
+        assert tree.is_leaf and tree.leaf_label == "brick"

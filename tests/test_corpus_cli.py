@@ -158,7 +158,8 @@ def test_cli_cap_exceeded(tmp_path, capsys):
     code, out = _run(["polytope", "facets", "--input", str(path),
                       "--max-vertices", "10"], capsys)
     assert code == 2
-    assert json.loads(out)["result"]["error"] == "vertex_cap"
+    doc = json.loads(out)
+    assert doc["result"]["error"] == "vertex_cap" and doc["graph"] == "pete-k4-splice"
     # raising the cap adds a warning but succeeds
     code, out = _run(["bvn", "--input", str(path), "--max-vertices", "17"], capsys)
     assert code == 0

@@ -1,12 +1,20 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import oracle_tight_shores
+from pmlattice.corpus import random_matching_covered
 from pmlattice.decomposition import (barrier_of_tight_cut, brick_count,
                                      canonical_parity_cycle, find_tight_cut,
                                      is_near_brick, parity_sets,
-                                     petersen_bricks, tight_cut_decomposition)
+                                     petersen_bricks, tight_cut_decomposition,
+                                     tight_shores)
 from pmlattice.errors import PreconditionViolated
-from pmlattice.graph import (MultiGraph, graph_isomorphic, is_bipartite,
-                             make_cut, simplify)
+from pmlattice.graph import (MultiGraph, cut_contractions, graph_isomorphic,
+                             is_bipartite, make_cut, odd_shores, simplify)
+from pmlattice.matchings import matching_covered
 
 
 def brick_plus_pendant_square() -> MultiGraph:
@@ -94,11 +102,57 @@ def test_leaf_multiset_invariant_under_random_cut_choice(corpus):
                 assert graph_isomorphic(simplify(a.graph)[0], simplify(b.graph)[0])
 
 
-def test_provenance_is_identity_on_surviving_ids(corpus):
-    tree = tight_cut_decomposition(corpus["pete-c4-splice"])
-    for leaf in tree.leaves():
-        for eid in leaf.graph.edge_ids:
-            assert leaf.lift(eid) == eid
+def test_leaf_edge_ids_are_root_edge_ids(corpus):
+    for name in ("c6", "cube", "pete-c4-splice", "pete-k4-splice"):
+        g = corpus[name]
+        for seed in (None, 1):
+            for leaf in tight_cut_decomposition(g, seed=seed).leaves():
+                assert set(leaf.graph.edge_ids) <= set(g.edge_ids), name
+
+
+def _oracle_leaf_edge_sets(g: MultiGraph, rng: random.Random | None) -> list[tuple[int, ...]]:
+    """Leaf edge sets of the decomposition driven by the exhaustive scan,
+    drawing cuts from ``rng`` in the same order as the library."""
+    shores = oracle_tight_shores(g)
+    if not shores:
+        return [tuple(sorted(g.edge_ids))]
+    shore = shores[0] if rng is None else rng.choice(shores)
+    keep_shore, keep_comp = cut_contractions(g, shore)
+    return _oracle_leaf_edge_sets(keep_shore, rng) + _oracle_leaf_edge_sets(keep_comp, rng)
+
+
+def _assert_tight_shores_match_oracle(g: MultiGraph, seeds=(None, 1, 2)) -> None:
+    assert tight_shores(g) == oracle_tight_shores(g)
+    for seed in seeds:
+        leaves = tight_cut_decomposition(g, seed=seed).leaves()
+        got = sorted(tuple(sorted(leaf.graph.edge_ids)) for leaf in leaves)
+        rng = None if seed is None else random.Random(seed)
+        assert got == sorted(_oracle_leaf_edge_sets(g, rng))
+
+
+def test_tight_shores_match_exhaustive_scan_on_corpus(corpus):
+    for g in corpus.values():
+        _assert_tight_shores_match_oracle(g)
+    # sparse, large, descending edge ids: the bitmasks index edge positions
+    g = corpus["pete-c4-splice"]
+    relabelled = MultiGraph(g.vertex_count, tuple(
+        (10**6 + 7 * (len(g.edges) - i), u, v) for i, (_, u, v) in enumerate(g.edges)))
+    _assert_tight_shores_match_oracle(relabelled)
+    assert tight_shores(relabelled) == tight_shores(g) != []
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), half=st.integers(2, 7), extra=st.integers(1, 3),
+       picks=st.lists(st.integers(0, 10**4), max_size=3))
+def test_tight_shores_match_exhaustive_scan_on_random_graphs(seed, half, extra, picks):
+    _, g = random_matching_covered(seed, 2 * half, extra)
+    _assert_tight_shores_match_oracle(g, seeds=(None, seed))
+    # cut-contractions carry parallel edges and non-contiguous edge ids
+    shores = list(odd_shores(g))
+    for pick in picks if shores else ():
+        for h in cut_contractions(g, shores[pick % len(shores)]):
+            if matching_covered(h):
+                _assert_tight_shores_match_oracle(h, seeds=(None, seed))
 
 
 def test_barrier_on_pendant_square():
@@ -146,7 +200,7 @@ def test_parity_sets(corpus):
 
 
 def test_bipartite_contraction_implies_tight(corpus):
-    from pmlattice.graph import boundary, cut_contractions, odd_shores
+    from pmlattice.graph import boundary
     from pmlattice.matchings import enumerate_perfect_matchings
     from pmlattice.polytope import is_separating
 
