@@ -22,8 +22,9 @@ from .graph import (Cut, MultiGraph, Shore, contract_shore, five_cycles,
                     petersen_graph, simplify)
 from .linalg import (Lattice, hnf, lattice_equal, lattice_index,
                      lattice_member, rank, saturation, snf)
-from .matchings import (PerfectMatching, enumerate_perfect_matchings,
-                        extend_across_cut, idp_decompose, is_matching_covered)
+from .matchings import (PerfectMatching, count_perfect_matchings,
+                        enumerate_perfect_matchings, extend_across_cut,
+                        idp_decompose, is_matching_covered)
 from .polytope import (CutClass, Face, classify_cut, cuts_equivalent,
                        enumerate_codim2_faces, enumerate_facets, is_bvn,
                        polytope_dim, uncross)

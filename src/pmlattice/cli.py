@@ -25,7 +25,7 @@ from .errors import (PmLatticeError, PreconditionViolated, TheoremFalsified,
                      VertexCapExceeded)
 from .graph import MultiGraph
 from .linalg import lattice_index
-from .matchings import enumerate_perfect_matchings
+from .matchings import count_perfect_matchings, enumerate_perfect_matchings
 from .polytope import (DEFAULT_VERTEX_CAP, classify_all_cuts,
                        enumerate_codim2_faces, enumerate_facets, is_bvn,
                        polytope_dim)
@@ -76,9 +76,9 @@ def _matching_payload(m) -> list[int]:
 
 
 def _cmd_pm(args, g: MultiGraph) -> dict:
-    ms = enumerate_perfect_matchings(g)
     if args.action == "count":
-        return {"count": len(ms)}
+        return {"count": count_perfect_matchings(g)}
+    ms = enumerate_perfect_matchings(g)
     return {"count": len(ms), "matchings": [_matching_payload(m) for m in ms]}
 
 
@@ -263,6 +263,10 @@ def _run(args, started: float, name: str | None, g: MultiGraph | None) -> tuple[
             return dump_graph_file(args.name, corpus_graph(args.name)), 0
         if args.vertices is None or args.seed is None:
             raise PreconditionViolated("usage", "corpus random needs --seed and --vertices")
+        if args.matchings < 0:
+            raise PreconditionViolated("usage", "--matchings must be non-negative")
+        if args.vertices > args.max_vertices:
+            raise VertexCapExceeded(args.vertices, args.max_vertices)
         name, g = random_matching_covered(args.seed, args.vertices, args.matchings)
         return dump_graph_file(name, g), 0
 

@@ -1,8 +1,12 @@
-"""Perfect matching enumeration, matching-covered testing, matching surgery
-across cuts, and integer decomposition of points of kP.
+"""Perfect matching enumeration and counting, matching-covered testing,
+matching surgery across cuts, and integer decomposition of points of kP.
 
 Enumeration is exhaustive backtracking over the least-index uncovered
 vertex; corpus graphs stay small enough that determinism beats asymptotics.
+Counting walks the same search tree but merges its nodes by the set of
+uncovered vertices, so it never lists a matching and costs at most what
+enumeration costs (K16's 2,027,025 matchings are counted through 1,597
+vertex sets).
 """
 
 from __future__ import annotations
@@ -75,6 +79,33 @@ def enumerate_perfect_matchings(g: MultiGraph) -> tuple[PerfectMatching, ...]:
     matchings = [PerfectMatching(s) for s in out]
     matchings.sort(key=PerfectMatching.key)
     return tuple(matchings)
+
+
+def count_perfect_matchings(g: MultiGraph) -> int:
+    """Number of perfect matchings, parallel edges counted separately.
+
+    Branches like ``enumerate_perfect_matchings`` (least uncovered vertex
+    to each uncovered neighbour, once per parallel edge) but keeps, per
+    set of uncovered vertices as a bitmask, only the number of ways to
+    reach it.  Masks are processed one matched pair per layer, so no
+    recursion depth limit applies.
+    """
+    n = g.vertex_count
+    if n % 2:
+        return 0
+    # one bit per incident edge, so parallel edges branch separately
+    star_bits = [[1 << w for _, w in row] for row in g.adjacency()]
+    ways = {(1 << n) - 1: 1}
+    for _ in range(n // 2):
+        nxt: dict[int, int] = {}
+        for uncovered, k in ways.items():
+            low = uncovered & -uncovered
+            rest = uncovered ^ low
+            for bit in star_bits[low.bit_length() - 1]:
+                if rest & bit:
+                    nxt[rest ^ bit] = nxt.get(rest ^ bit, 0) + k
+        ways = nxt
+    return ways.get(0, 0)
 
 
 def is_matching_covered(g: MultiGraph) -> tuple[bool, frozenset[int]]:

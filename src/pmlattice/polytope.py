@@ -68,14 +68,8 @@ def polytope_dim(g: MultiGraph) -> int:
     from .decomposition import brick_count  # decomposition imports this module
 
     require_matching_covered(g)
-    d = dim_by_rank(g)
-    formula = len(g.edges) - g.vertex_count + 1 - brick_count(g)
-    if d != formula:
-        # brick_count cross-checks itself, so reaching this would mean the
-        # dimension formula itself failed
-        raise TheoremFalsified("dimension formula |E|-|V|+1-b(G)", {
-            "rank_dim": d, "formula_dim": formula})
-    return d
+    brick_count(g)  # raises TheoremFalsified unless b(G) = |E| - |V| + 1 - dim P(G)
+    return dim_by_rank(g)
 
 
 @lru_cache(maxsize=None)

@@ -4,6 +4,7 @@ and enforcing its stated wall-clock budget.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -13,7 +14,8 @@ from pmlattice.basis import (find_intersection_pair, integral_basis,
                              lattice_basis, matching_lattice,
                              matching_saturation, merge_bases,
                              merge_coefficients, pm_linear_basis)
-from pmlattice.corpus import CORPUS_NAMES, corpus_graph
+from pmlattice.cli import main
+from pmlattice.corpus import CORPUS_NAMES, corpus_graph, dump_graph_file
 from pmlattice.decomposition import (brick_count, petersen_bricks,
                                      tight_cut_decomposition)
 from pmlattice.errors import PreconditionViolated
@@ -252,3 +254,14 @@ def test_criterion_9_mobius_ladder_decomposition():
                                   + [(i, i + n // 2) for i in range(n // 2)])
         tree = tight_cut_decomposition(g)
         assert tree.is_leaf and tree.leaf_label == "brick"
+
+
+def test_criterion_10_count_complete_graphs(tmp_path, capsys):
+    with criterion(10, "pm count on K16 and K18", 5.0):
+        # (n-1)!! matchings; listing K16's would take about 2 GB
+        for n, count in ((16, 2_027_025), (18, 34_459_425)):
+            k = MultiGraph.from_pairs(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+            path = tmp_path / f"k{n}.json"
+            path.write_text(dump_graph_file(f"k{n}", k))
+            assert main(["pm", "count", "--input", str(path)]) == 0
+            assert json.loads(capsys.readouterr().out)["result"] == {"count": count}

@@ -78,6 +78,19 @@ def test_cli_pm_count(tmp_path, capsys):
     assert doc["timing_ms"] is None
 
 
+def test_cli_pm_count_agrees_with_pm_list(tmp_path, capsys):
+    for name in CORPUS_NAMES:
+        path = tmp_path / f"{name}.json"
+        path.write_text(dump_graph_file(name, corpus_graph(name)))
+        code, counted = _run(["pm", "count", "--input", str(path)], capsys)
+        assert code == 0
+        code, listed = _run(["pm", "list", "--input", str(path)], capsys)
+        assert code == 0
+        listed = json.loads(listed)["result"]
+        assert listed["count"] == len(listed["matchings"])
+        assert json.loads(counted)["result"] == {"count": listed["count"]}, name
+
+
 def test_cli_reports_byte_deterministic(tmp_path, capsys):
     path = tmp_path / "p.json"
     _run(["corpus", "emit", "prism", "--output", str(path)], capsys)
@@ -178,6 +191,22 @@ def test_cli_corpus_commands(tmp_path, capsys):
     assert out2 == out
     code, _ = _run(["corpus", "emit"], capsys)
     assert code == 2
+
+
+def test_cli_corpus_random_rejects_bad_arguments(capsys, monkeypatch):
+    def no_attempts(*args):
+        raise AssertionError("generator ran on rejected arguments")
+
+    monkeypatch.setattr("pmlattice.cli.random_matching_covered", no_attempts)
+    code = main(["corpus", "random", "--seed", "5", "--vertices", "8", "--matchings", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and "Traceback" not in captured.err
+    result = json.loads(captured.out)["result"]
+    assert result["error"] == "precondition" and result["reason"] == "usage"
+    code = main(["corpus", "random", "--seed", "5", "--vertices", "18"])
+    captured = capsys.readouterr()
+    assert code == 2 and "Traceback" not in captured.err
+    assert json.loads(captured.out)["result"] == {"error": "vertex_cap", "vertices": 18, "cap": 16}
 
 
 def test_cli_characterize(tmp_path, capsys):

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pmlattice.corpus import random_matching_covered
 from pmlattice.errors import PreconditionViolated
 from pmlattice.graph import MultiGraph, make_cut
-from pmlattice.matchings import (PerfectMatching, enumerate_perfect_matchings,
+from pmlattice.matchings import (PerfectMatching, count_perfect_matchings,
+                                 enumerate_perfect_matchings,
                                  extend_across_cut, idp_decompose,
                                  is_matching_covered)
 
@@ -10,12 +14,49 @@ from conftest import bipartite_matching_count, brute_force_matchings
 
 
 def test_counts_against_brute_force(corpus):
-    expected = {"k4": 3, "c6": 2, "petersen": 6, "k33": 6, "cube": 9}
+    # the doubled Petersen edge lies in two of the six matchings
+    expected = {"k4": 3, "c6": 2, "petersen": 6, "petersen-parallel": 8, "k33": 6, "cube": 9}
     for name, g in corpus.items():
         ms = enumerate_perfect_matchings(g)
         assert [m.edge_ids for m in ms] == brute_force_matchings(g), name
+        assert count_perfect_matchings(g) == len(ms), name
         if name in expected:
             assert len(ms) == expected[name]
+
+
+def _agreed_count(g: MultiGraph) -> int:
+    count = count_perfect_matchings(g)
+    assert count == len(enumerate_perfect_matchings(g)) == len(brute_force_matchings(g))
+    return count
+
+
+def test_count_edge_cases():
+    path = [(i, i + 1) for i in range(5)]
+    assert _agreed_count(MultiGraph(0, ())) == 1
+    assert _agreed_count(MultiGraph.from_pairs(5, path[:4])) == 0  # odd
+    assert _agreed_count(MultiGraph.from_pairs(6, path)) == 1
+    assert _agreed_count(MultiGraph.from_pairs(4, ((0, 1), (0, 2), (0, 3)))) == 0  # claw
+    two_triangles = MultiGraph.from_pairs(
+        6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+    assert _agreed_count(two_triangles) == 0
+
+
+@st.composite
+def _perturbed_random_graphs(draw) -> MultiGraph:
+    """A seeded random matching-covered graph with up to three edges
+    removed (zero counts occur) and up to three doubled (parallel edges)."""
+    n = 2 * draw(st.integers(1, 7))
+    _, g = random_matching_covered(draw(st.integers(0, 10**6)), n, draw(st.integers(1, 2)))
+    pairs = [(u, v) for _, u, v in g.edges]
+    removed = draw(st.sets(st.integers(0, len(pairs) - 1), max_size=3))
+    doubled = draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return MultiGraph.from_pairs(n, [p for i, p in enumerate(pairs) if i not in removed] + doubled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_perturbed_random_graphs())
+def test_count_agrees_with_enumeration_on_random_graphs(g):
+    _agreed_count(g)
 
 
 def test_bipartite_counts_match_permanent(corpus):
