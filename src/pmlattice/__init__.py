@@ -17,9 +17,9 @@ from .decomposition import (DecompTree, barrier_of_tight_cut, brick_count,
                             petersen_bricks, tight_cut_decomposition, tight_shores)
 from .errors import (PmLatticeError, PreconditionViolated, TheoremFalsified,
                      VertexCapExceeded)
-from .graph import (Cut, MultiGraph, Shore, contract_shore, five_cycles,
-                    girth, is_bipartite, is_petersen, make_cut, make_shore,
-                    petersen_graph, simplify)
+from .graph import (Cut, MultiGraph, contract_shore, five_cycles, girth,
+                    is_bipartite, is_petersen, make_cut, petersen_graph,
+                    simplify)
 from .linalg import (Lattice, hnf, lattice_equal, lattice_index,
                      lattice_member, rank, saturation, snf)
 from .matchings import (PerfectMatching, count_perfect_matchings,

@@ -93,6 +93,7 @@ class MergeContext:
     cut_edges: tuple[int, ...]
     i_orders: tuple[tuple[int, ...], ...]  # aligned with cut_edges
     j_orders: tuple[tuple[int, ...], ...]
+    elements: tuple[PerfectMatching, ...]  # the merged basis, in output order
 
 
 @dataclass(frozen=True)
@@ -197,8 +198,8 @@ def merge_bases(g: MultiGraph, cut: Cut, b1: Basis, b2: Basis,
     kind = b1.kind if b1.kind == b2.kind else "linear"
     ctx = MergeContext(g, cut, b1, b2, cut_edges,
                        tuple(tuple(i_sets[e]) for e in cut_edges),
-                       tuple(tuple(j_sets[e]) for e in cut_edges))
-    return MergeResult(Basis(g, tuple(elements), kind), zstar, ctx)
+                       tuple(tuple(j_sets[e]) for e in cut_edges), tuple(elements))
+    return MergeResult(Basis(g, ctx.elements, kind), zstar, ctx)
 
 
 def merge_coefficients(ctx: MergeContext,
@@ -230,7 +231,6 @@ def merge_coefficients(ctx: MergeContext,
             lambdas.append(a[i_order[t]])
 
     # exact reconstruction check: sum(lambda * z) == x (.) y
-    merged = _merged_elements_of(ctx)
     target: dict[int, Fraction] = {eid: Fraction(0) for eid in ctx.graph.edge_ids}
     for coef, m in zip(a, ctx.b1.elements):
         for eid in m.edge_ids:
@@ -240,25 +240,13 @@ def merge_coefficients(ctx: MergeContext,
             if eid not in ctx.cut.boundary:
                 target[eid] += coef
     got: dict[int, Fraction] = {eid: Fraction(0) for eid in ctx.graph.edge_ids}
-    for coef, m in zip(lambdas, merged):
+    for coef, m in zip(lambdas, ctx.elements):
         for eid in m.edge_ids:
             got[eid] += coef
     if got != target:
         raise TheoremFalsified("coefficient transfer reconstructs the composition", {
             "diff": {str(k): str(got[k] - target[k]) for k in got if got[k] != target[k]}})
     return lambdas
-
-
-def _merged_elements_of(ctx: MergeContext) -> list[PerfectMatching]:
-    out = []
-    for i_order, j_order in zip(ctx.i_orders, ctx.j_orders):
-        head = ctx.b1.elements[i_order[0]]
-        for j in j_order:
-            out.append(PerfectMatching(head.edge_ids | ctx.b2.elements[j].edge_ids))
-        for t in range(1, len(i_order)):
-            out.append(PerfectMatching(
-                ctx.b1.elements[i_order[t]].edge_ids | ctx.b2.elements[j_order[0]].edge_ids))
-    return out
 
 
 # --- near-bricks with a Petersen brick -------------------------------------

@@ -15,7 +15,8 @@ from .errors import PreconditionViolated, TheoremFalsified
 from .graph import (Cut, MultiGraph, components_minus, contract_shore,
                     cut_contractions, five_cycles, is_bipartite, is_petersen,
                     make_cut, shore_complement, shore_index_map, simplify)
-from .matchings import enumerate_perfect_matchings, require_matching_covered
+from .matchings import (enumerate_perfect_matchings, matching_table,
+                        require_matching_covered)
 from .polytope import dim_by_rank
 
 
@@ -51,21 +52,16 @@ def tight_shores(g: MultiGraph) -> list[tuple[int, ...]]:
     An odd cut meets every perfect matching an odd number of times, so a
     tight cut meets the first matching M0 exactly once: its shore is a
     union of M0 pairs plus one endpoint of one more pair.  Only those
-    n/2 * 2^(n/2-1) shores are tested, against matching masks over edge
-    positions; a shore's boundary mask is the XOR of its vertex stars.
+    n/2 * 2^(n/2-1) shores are tested against the graph's matching table;
+    a shore's boundary mask is the XOR of its vertex stars.
     """
     require_matching_covered(g)
     n = g.vertex_count
-    ms = enumerate_perfect_matchings(g)
-    pos = {eid: i for i, (eid, _, _) in enumerate(g.edges)}
-    star = [0] * n
-    for i, (_, u, v) in enumerate(g.edges):
-        star[u] |= 1 << i
-        star[v] |= 1 << i
-    masks = [sum(1 << pos[eid] for eid in m.edge_ids) for m in ms]
+    t = matching_table(g)
+    star = t.stars
     # (vertex mask, boundary mask) of every union of M0 pairs
     unions = [(0, 0)]
-    for _, u, v in (e for e in g.edges if e[0] in ms[0]):
+    for _, u, v in (e for e in g.edges if e[0] in t.matchings[0]):
         unions += [(vm | 1 << u | 1 << v, bm ^ star[u] ^ star[v]) for vm, bm in unions]
     out = []
     for vm, bm in unions:
@@ -75,7 +71,7 @@ def tight_shores(g: MultiGraph) -> list[tuple[int, ...]]:
         singles = [x for x in range(n) if not vm >> x & 1] if vm & 1 else [0]
         for x in singles:
             b = bm ^ star[x]
-            if all((m & b).bit_count() == 1 for m in masks):
+            if all((m & b).bit_count() == 1 for m in t.masks):
                 shore = vm | 1 << x
                 out.append(tuple(v for v in range(n) if shore >> v & 1))
     out.sort(key=lambda s: (len(s), s))

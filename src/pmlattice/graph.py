@@ -76,35 +76,8 @@ class MultiGraph:
         return range(self.vertex_count)
 
 
-@dataclass(frozen=True)
-class Shore:
-    """A nonempty proper subset of the vertex set; one side of a cut."""
-
-    vertex_set: frozenset[int]
-
-    @property
-    def parity(self) -> int:
-        return len(self.vertex_set) % 2
-
-    def __len__(self) -> int:
-        return len(self.vertex_set)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.vertex_set))
-
-
-def make_shore(g: MultiGraph, vertices: Iterable[int]) -> Shore:
-    vs = frozenset(vertices)
-    if not vs or len(vs) >= g.vertex_count:
-        raise PreconditionViolated("bad_shore", "shore must be a nonempty proper subset")
-    if not all(0 <= v < g.vertex_count for v in vs):
-        raise PreconditionViolated("bad_shore", "shore vertex out of range")
-    return Shore(vs)
-
-
-def shore_complement(g: MultiGraph, shore: Shore | frozenset[int]) -> frozenset[int]:
-    vs = shore.vertex_set if isinstance(shore, Shore) else shore
-    return frozenset(range(g.vertex_count)) - vs
+def shore_complement(g: MultiGraph, shore: frozenset[int]) -> frozenset[int]:
+    return frozenset(range(g.vertex_count)) - shore
 
 
 def boundary(g: MultiGraph, vertices: Iterable[int]) -> frozenset[int]:
@@ -153,13 +126,11 @@ def odd_shores(g: MultiGraph, *, trivial: bool = False) -> Iterator[tuple[int, .
     lo = 1 if trivial else 3
     hi = n - 1 if trivial else n - 2
     for size in range(lo, hi + 1, 2):
-        if size % 2 == 0:
-            continue
         for rest in itertools.combinations(range(1, n), size - 1):
             yield (0,) + rest
 
 
-def contract_shore(g: MultiGraph, shore: Shore | Iterable[int]) -> MultiGraph:
+def contract_shore(g: MultiGraph, shore: Iterable[int]) -> MultiGraph:
     """Collapse the complement of ``shore`` to a single contraction vertex.
 
     Vertices of the shore are renumbered 0..k-1 in sorted order and the
@@ -167,7 +138,7 @@ def contract_shore(g: MultiGraph, shore: Shore | Iterable[int]) -> MultiGraph:
     inside the complement are deleted; all surviving edges keep their ids,
     so parallel edges created by the contraction remain distinct.
     """
-    vs = shore.vertex_set if isinstance(shore, Shore) else frozenset(shore)
+    vs = frozenset(shore)
     if not vs or len(vs) >= g.vertex_count:
         raise PreconditionViolated("bad_shore", "contraction shore must be a nonempty proper subset")
     index = shore_index_map(vs)

@@ -1,12 +1,18 @@
-"""Perfect matching enumeration and counting, matching-covered testing,
-matching surgery across cuts, and integer decomposition of points of kP.
+"""Perfect matching enumeration and counting, the per-graph matching
+table, matching-covered testing, matching surgery across cuts, and integer
+decomposition of points of kP.
 
 Enumeration is exhaustive backtracking over the least-index uncovered
-vertex; corpus graphs stay small enough that determinism beats asymptotics.
-Counting walks the same search tree but merges its nodes by the set of
-uncovered vertices, so it never lists a matching and costs at most what
-enumeration costs (K16's 2,027,025 matchings are counted through 1,597
-vertex sets).
+vertex, on an explicit stack; corpus graphs stay small enough that
+determinism beats asymptotics.  Counting walks the same search tree but
+merges its nodes by the set of uncovered vertices, so it never lists a
+matching and costs at most what enumeration costs (K16's 2,027,025
+matchings are counted through 1,597 vertex sets).
+
+``matching_table(g)`` is the one place matchings become bitmasks: an edge
+mask per matching and a star mask per vertex, built once per graph.  Face
+queries in ``polytope``, the tight-shore search in ``decomposition`` and
+the P-TRIPLE scan in ``verifier`` all read it.
 """
 
 from __future__ import annotations
@@ -49,36 +55,108 @@ def incidence_vectors(g: MultiGraph, matchings: Iterable[PerfectMatching]) -> li
 
 @lru_cache(maxsize=None)
 def enumerate_perfect_matchings(g: MultiGraph) -> tuple[PerfectMatching, ...]:
-    """All perfect matchings, ordered lexicographically by sorted id tuple."""
+    """All perfect matchings, ordered lexicographically by sorted id tuple.
+
+    Depth-first: the least uncovered vertex is matched to each uncovered
+    neighbour in turn, once per parallel edge.  The search keeps an
+    explicit stack of frames (uncovered vertices left as a bitmask, and
+    the untried edges of the vertex being matched), so no recursion
+    depth limit applies; ``chosen`` holds one edge per frame but the first.
+    """
     n = g.vertex_count
     if n % 2:
         return ()
-    adj = g.adjacency()
-    covered = [False] * n
+    if n == 0:
+        return (PerfectMatching(frozenset()),)
+    stars = [[(eid, 1 << w) for eid, w in row] for row in g.adjacency()]
+    found: list[frozenset[int]] = []
     chosen: list[int] = []
-    out: list[frozenset[int]] = []
-
-    def extend(lo: int) -> None:
-        v = lo
-        while v < n and covered[v]:
-            v += 1
-        if v == n:
-            out.append(frozenset(chosen))
-            return
-        covered[v] = True
-        for eid, w in adj[v]:
-            if not covered[w]:
-                covered[w] = True
-                chosen.append(eid)
-                extend(v + 1)
+    stack = [(((1 << n) - 1) ^ 1, iter(stars[0]))]
+    while stack:
+        rest, untried = stack[-1]
+        for eid, bit in untried:
+            if rest & bit:
+                break
+        else:
+            stack.pop()
+            if chosen:
                 chosen.pop()
-                covered[w] = False
-        covered[v] = False
-
-    extend(0)
-    matchings = [PerfectMatching(s) for s in out]
+            continue
+        chosen.append(eid)
+        left = rest ^ bit
+        if left:
+            low = left & -left
+            stack.append((left ^ low, iter(stars[low.bit_length() - 1])))
+        else:
+            found.append(frozenset(chosen))
+            chosen.pop()
+    matchings = [PerfectMatching(s) for s in found]
     matchings.sort(key=PerfectMatching.key)
     return tuple(matchings)
+
+
+@dataclass(frozen=True)
+class MatchingTable:
+    """The perfect matchings of one graph as bitmasks; every face query
+    is answered from it.
+
+    Bit i of an edge mask is ``g.edges[i]``; bit i of a face mask is
+    ``matchings[i]``.  ``masks`` holds one edge mask per matching and
+    ``stars`` one per vertex (its incident edges), so the boundary of a
+    vertex set is the XOR of its stars.
+    """
+
+    matchings: tuple[PerfectMatching, ...]
+    edge_pos: dict[int, int]
+    masks: tuple[int, ...]
+    stars: tuple[int, ...]
+    all_edges: int
+
+    def edge_mask(self, edge_ids: Iterable[int]) -> int:
+        """Edge mask of a set of distinct edge ids."""
+        return sum(1 << self.edge_pos[eid] for eid in edge_ids)
+
+    def cut_mask(self, vertices: Iterable[int]) -> int:
+        """Edge mask of delta(vertices)."""
+        out = 0
+        for v in vertices:
+            out ^= self.stars[v]
+        return out
+
+    def face(self, cut: int) -> int:
+        """Face mask of the matchings meeting the edge mask ``cut`` once."""
+        return sum(1 << i for i, m in enumerate(self.masks) if (m & cut).bit_count() == 1)
+
+    def avoiding(self, eid: int) -> int:
+        """Face mask of the matchings without edge ``eid`` (x_e = 0)."""
+        bit = 1 << self.edge_pos[eid]
+        return sum(1 << i for i, m in enumerate(self.masks) if not m & bit)
+
+    def covers_all_edges(self, face: int) -> bool:
+        """Whether the matchings of the face use every edge."""
+        used = 0
+        while face:
+            low = face & -face
+            used |= self.masks[low.bit_length() - 1]
+            face ^= low
+        return used == self.all_edges
+
+    @staticmethod
+    def members(face: int) -> frozenset[int]:
+        """Matching indices of a face mask."""
+        return frozenset(i for i in range(face.bit_length()) if face >> i & 1)
+
+
+@lru_cache(maxsize=None)
+def matching_table(g: MultiGraph) -> MatchingTable:
+    edge_pos = {eid: i for i, (eid, _, _) in enumerate(g.edges)}
+    stars = [0] * g.vertex_count
+    for i, (_, u, v) in enumerate(g.edges):
+        stars[u] |= 1 << i
+        stars[v] |= 1 << i
+    ms = enumerate_perfect_matchings(g)
+    masks = tuple(sum(1 << edge_pos[eid] for eid in m.edge_ids) for m in ms)
+    return MatchingTable(ms, edge_pos, masks, tuple(stars), (1 << len(g.edges)) - 1)
 
 
 def count_perfect_matchings(g: MultiGraph) -> int:

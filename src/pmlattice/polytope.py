@@ -2,24 +2,27 @@
 
 Faces are handled as sets of matching indices into the canonical matching
 enumeration, never as inequality systems: exact, finite, and easy to
-deduplicate at desk scale.  Candidate facet exposers are the edges
-(``x_e >= 0``) and the nontrivial odd cuts (``x(C) >= 1``), which suffice
-by the Edmonds-Johnson description; the degree equations are the affine
-hull.
+deduplicate at desk scale.  Membership queries are answered from the
+graph's bitmask table, ``matchings.matching_table``.  Candidate facet
+exposers are the edges (``x_e >= 0``) and the nontrivial odd cuts
+(``x(C) >= 1``), which suffice by the Edmonds-Johnson description; the
+degree equations are the affine hull.  Every scan for odd cuts whose face
+is a facet goes through ``_facet_shores``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import PreconditionViolated, TheoremFalsified, VertexCapExceeded
-from .graph import (Cut, MultiGraph, Shore, boundary, cut_contractions,
-                    make_cut, odd_shores, shore_complement)
+from .graph import (Cut, MultiGraph, boundary, cut_contractions, make_cut,
+                    odd_shores, shore_complement)
 from .linalg import affine_dim
 from .matchings import (enumerate_perfect_matchings, incidence_vectors,
-                        matching_covered, require_matching_covered)
+                        matching_covered, matching_table,
+                        require_matching_covered)
 
 DEFAULT_VERTEX_CAP = 16
 
@@ -72,18 +75,16 @@ def polytope_dim(g: MultiGraph) -> int:
     return dim_by_rank(g)
 
 
-@lru_cache(maxsize=None)
 def face_members(g: MultiGraph, edge_set: frozenset[int]) -> frozenset[int]:
     """Indices of matchings meeting the cut edge set exactly once."""
-    ms = enumerate_perfect_matchings(g)
-    return frozenset(i for i, m in enumerate(ms) if len(m.edge_ids & edge_set) == 1)
+    t = matching_table(g)
+    return t.members(t.face(t.edge_mask(edge_set)))
 
 
-@lru_cache(maxsize=None)
 def edge_face_members(g: MultiGraph, eid: int) -> frozenset[int]:
     """Indices of matchings avoiding the edge (the face of x_e >= 0)."""
-    ms = enumerate_perfect_matchings(g)
-    return frozenset(i for i, m in enumerate(ms) if eid not in m)
+    t = matching_table(g)
+    return t.members(t.avoiding(eid))
 
 
 @lru_cache(maxsize=None)
@@ -92,18 +93,9 @@ def members_dim(g: MultiGraph, members: frozenset[int]) -> int:
     return affine_dim([ms[i].incidence_on(g) for i in sorted(members)])
 
 
-@lru_cache(maxsize=None)
-def _edge_union_of(g: MultiGraph, members: frozenset[int]) -> frozenset[int]:
-    ms = enumerate_perfect_matchings(g)
-    out: set[int] = set()
-    for i in members:
-        out |= ms[i].edge_ids
-    return frozenset(out)
-
-
 def face_covers_all_edges(g: MultiGraph, members: frozenset[int]) -> bool:
     """Whether no inequality x_e >= 0 contains the face (every edge used)."""
-    return _edge_union_of(g, members) == frozenset(g.edge_ids)
+    return matching_table(g).covers_all_edges(sum(1 << i for i in members))
 
 
 @lru_cache(maxsize=None)
@@ -113,16 +105,17 @@ def is_separating(g: MultiGraph, shore: tuple[int, ...]) -> bool:
     The face-based condition (no x_e >= 0 contains the cut's face) is a
     sound rejector and prunes most shores before the contraction check.
     """
-    members = face_members(g, boundary(g, shore))
-    if not members or not face_covers_all_edges(g, members):
+    t = matching_table(g)
+    face = t.face(t.cut_mask(shore))
+    if not face or not t.covers_all_edges(face):
         return False
     keep_shore, keep_comp = cut_contractions(g, shore)
     return matching_covered(keep_shore) and matching_covered(keep_comp)
 
 
-def classify_cut(g: MultiGraph, x: Shore | Iterable[int]) -> CutClass:
+def classify_cut(g: MultiGraph, x: Iterable[int]) -> CutClass:
     """Tight / separating / facet-defining flags plus the cut's face."""
-    vs = x.vertex_set if isinstance(x, Shore) else frozenset(x)
+    vs = frozenset(x)
     n = g.vertex_count
     if len(vs) % 2 == 0:
         raise PreconditionViolated("even_shore", "cut classification needs an odd shore")
@@ -150,18 +143,24 @@ def separating_cuts(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> li
     return [make_cut(g, s) for s in odd_shores(g) if is_separating(g, s)]
 
 
+def _facet_shores(g: MultiGraph) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:
+    """(shore, members) for every canonical nontrivial odd shore whose cut
+    face is a facet, in canonical shore order.  The one facet-shore scan:
+    callers check matching-coveredness and the vertex cap first."""
+    d = polytope_dim(g)
+    t = matching_table(g)
+    for shore in odd_shores(g):
+        members = t.members(t.face(t.cut_mask(shore)))
+        if members and members_dim(g, members) == d - 1:
+            yield shore, members
+
+
 def is_bvn(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> tuple[bool, Cut | None]:
     """Birkhoff-von-Neumann test; returns a separating facet-defining
     witness cut on failure (first in canonical shore order)."""
     require_matching_covered(g)
     check_cap(g, max_vertices)
-    d = polytope_dim(g)
-    for shore in odd_shores(g):
-        members = face_members(g, boundary(g, shore))
-        if not members:
-            continue
-        if members_dim(g, members) != d - 1:
-            continue
+    for shore, _ in _facet_shores(g):
         if is_separating(g, shore):
             return False, make_cut(g, shore)
     return True, None
@@ -172,13 +171,7 @@ def separating_facet_defining_cuts(g: MultiGraph,
     """Separating cuts whose face is a facet, in canonical shore order."""
     require_matching_covered(g)
     check_cap(g, max_vertices)
-    d = polytope_dim(g)
-    out = []
-    for shore in odd_shores(g):
-        members = face_members(g, boundary(g, shore))
-        if members and members_dim(g, members) == d - 1 and is_separating(g, shore):
-            out.append(make_cut(g, shore))
-    return out
+    return [make_cut(g, shore) for shore, _ in _facet_shores(g) if is_separating(g, shore)]
 
 
 def classify_all_cuts(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[CutClass]:
@@ -199,10 +192,8 @@ def enumerate_facets(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> l
         members = edge_face_members(g, eid)
         if members and members_dim(g, members) == d - 1:
             edges_for.setdefault(members, []).append(eid)
-    for shore in odd_shores(g):
-        members = face_members(g, boundary(g, shore))
-        if members and members_dim(g, members) == d - 1:
-            cuts_for.setdefault(members, []).append(make_cut(g, shore))
+    for shore, members in _facet_shores(g):
+        cuts_for.setdefault(members, []).append(make_cut(g, shore))
     out = []
     for members in sorted(set(edges_for) | set(cuts_for), key=sorted):
         out.append(Face(members, d - 1,

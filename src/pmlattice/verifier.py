@@ -19,9 +19,10 @@ from .graph import (MultiGraph, boundary, contract_shore, cut_contractions,
                     is_bipartite, is_petersen, make_cut, odd_shores,
                     shore_complement, shore_index_map)
 from .linalg import lattice_member
-from .matchings import enumerate_perfect_matchings, matching_covered
-from .polytope import (DEFAULT_VERTEX_CAP, check_cap, dim_by_rank,
-                       edge_face_members, enumerate_codim2_faces,
+from .matchings import (enumerate_perfect_matchings, matching_covered,
+                        matching_table)
+from .polytope import (DEFAULT_VERTEX_CAP, check_cap, cuts_equivalent,
+                       dim_by_rank, edge_face_members, enumerate_codim2_faces,
                        enumerate_facets, face_covers_all_edges, face_members,
                        is_bvn, is_separating, members_dim, polytope_dim,
                        separating_cuts, separating_facet_defining_cuts,
@@ -111,13 +112,14 @@ def _p_bvncontract(g: MultiGraph, cap: int) -> tuple[str, dict]:
 def _p_brickcount(g: MultiGraph, cap: int) -> tuple[str, dict]:
     d = polytope_dim(g)
     b = brick_count(g)
-    for cut in separating_cuts(g, cap):
+    cuts = separating_cuts(g, cap)
+    for cut in cuts:
         codim = d - members_dim(g, face_members(g, cut.boundary))
         ks, kc = cut_contractions(g, cut.shore_set)
         if brick_count(ks) + brick_count(kc) != b + codim:
             return "fail", {"shore": list(cut.shore), "codim": codim,
                             "b_sides": [brick_count(ks), brick_count(kc)], "b": b}
-    return "pass", {"separating_cuts": len(separating_cuts(g, cap))}
+    return "pass", {"separating_cuts": len(cuts)}
 
 
 def _p_nearbrick(g: MultiGraph, cap: int) -> tuple[str, dict]:
@@ -194,14 +196,10 @@ def _bipartite_middle(g: MultiGraph, small: frozenset[int], big: frozenset[int])
 def _p_equiv(g: MultiGraph, cap: int) -> tuple[str, dict]:
     if not is_near_brick(g):
         return "pass", {"vacuous": "not a near-brick"}
-    d = polytope_dim(g)
     groups: dict[frozenset[int], list] = {}
-    for cut in separating_cuts(g, cap):
-        mem = face_members(g, cut.boundary)
-        if members_dim(g, mem) == d - 1:
-            groups.setdefault(mem, []).append(cut)
+    for cut in separating_facet_defining_cuts(g, cap):
+        groups.setdefault(face_members(g, cut.boundary), []).append(cut)
     pairs = nested = 0
-    ms = enumerate_perfect_matchings(g)
     for cuts in groups.values():
         for i in range(len(cuts)):
             for j in range(i + 1, len(cuts)):
@@ -210,8 +208,7 @@ def _p_equiv(g: MultiGraph, cap: int) -> tuple[str, dict]:
                 if len(x1 & x2) % 2 == 0:
                     x2 = shore_complement(g, x2)
                 pairs += 1
-                if any(len(m.edge_ids & cuts[i].boundary)
-                       != len(m.edge_ids & cuts[j].boundary) for m in ms):
+                if not cuts_equivalent(g, cuts[i], cuts[j]):
                     return "fail", {"shore1": sorted(x1), "shore2": sorted(x2),
                                     "reason": "same-facet cuts not equivalent"}
                 if x1 < x2 or x2 < x1:
@@ -227,54 +224,12 @@ def _p_equiv(g: MultiGraph, cap: int) -> tuple[str, dict]:
 def _p_triple(g: MultiGraph, cap: int) -> tuple[str, dict]:
     check_cap(g, cap)
     n = g.vertex_count
-    ms = enumerate_perfect_matchings(g)
-    edge_pos = {eid: i for i, eid in enumerate(g.edge_ids)}
-    full_edges = (1 << len(g.edge_ids)) - 1
-    m_edge_masks = []
-    m_pairs = []
-    ends = g.endpoints()
-    for m in ms:
-        acc = 0
-        for eid in m.edge_ids:
-            acc |= 1 << edge_pos[eid]
-        m_edge_masks.append(acc)
-        m_pairs.append([ends[eid] for eid in m.edge_ids])
-
-    member_cache: dict[int, int] = {}
-
-    def members_of(mask: int) -> int:
-        got = member_cache.get(mask)
-        if got is None:
-            got = 0
-            for i, pairs in enumerate(m_pairs):
-                crossings = 0
-                for u, v in pairs:
-                    crossings += ((mask >> u) & 1) != ((mask >> v) & 1)
-                    if crossings > 1:
-                        break
-                if crossings == 1:
-                    got |= 1 << i
-            member_cache[mask] = got
-        return got
-
-    cover_cache: dict[int, bool] = {}
-
-    def covers_all(member_mask: int) -> bool:
-        got = cover_cache.get(member_mask)
-        if got is None:
-            acc = 0
-            mm = member_mask
-            while mm:
-                low = (mm & -mm).bit_length() - 1
-                acc |= m_edge_masks[low]
-                mm &= mm - 1
-            got = acc == full_edges
-            cover_cache[member_mask] = got
-        return got
-
+    table = matching_table(g)
     full_vertices = (1 << n) - 1
     odd_masks = [m for m in range(1, full_vertices)
                  if bin(m).count("1") % 2 == 1]
+    faces = {m: table.face(table.cut_mask(v for v in range(n) if m >> v & 1))
+             for m in odd_masks}
     checked = 0
     for m2 in odd_masks:
         comp = full_vertices ^ m2
@@ -294,9 +249,9 @@ def _p_triple(g: MultiGraph, cap: int) -> tuple[str, dict]:
             t = (t - 1) & comp
         if not x1s or not x3s:
             continue
-        f2 = members_of(m2)
+        f2 = faces[m2]
         for m1 in x1s:
-            f1 = members_of(m1)
+            f1 = faces[m1]
             f21 = f2 & f1
             for m3 in x3s:
                 # canonical representative under complement-reversal
@@ -304,12 +259,13 @@ def _p_triple(g: MultiGraph, cap: int) -> tuple[str, dict]:
                                    full_vertices ^ m1):
                     continue
                 checked += 1
-                f23 = f2 & members_of(m3)
+                f3 = faces[m3]
+                f23 = f2 & f3
                 if f21 != f23 or not f23:
                     continue
-                if not (f2 & ~f1) and not (f2 & ~members_of(m3)):
+                if not (f2 & ~f1) and not (f2 & ~f3):
                     continue
-                if covers_all(f23):
+                if table.covers_all_edges(f23):
                     return "fail", {
                         "x1": [v for v in range(n) if (m1 >> v) & 1],
                         "x2": [v for v in range(n) if (m2 >> v) & 1],

@@ -136,3 +136,25 @@ def oracle_tight_shores(g: MultiGraph) -> list[tuple[int, ...]]:
             if all(len(m & cut) == 1 for m in ms):
                 out.append((0,) + rest)
     return out
+
+
+def oracle_odd_faces(g: MultiGraph) -> dict[tuple[int, ...], tuple[list[frozenset[int]], bool]]:
+    """For every odd vertex set X: the brute-force perfect matchings that
+    use exactly one edge with one end in X (counted edge by edge), in
+    enumeration order, and whether those matchings together use every
+    edge."""
+    ms = brute_force_matchings(g)
+    n = g.vertex_count
+    out = {}
+    for size in range(1, n, 2):
+        for shore in combinations(range(n), size):
+            inside = set(shore)
+            members = []
+            for m in ms:
+                crossings = sum(1 for eid, u, v in g.edges
+                                if eid in m and (u in inside) != (v in inside))
+                if crossings == 1:
+                    members.append(m)
+            used = set().union(*members)
+            out[shore] = (members, used == set(g.edge_ids))
+    return out

@@ -5,6 +5,7 @@ import pytest
 from pmlattice.cli import main
 from pmlattice.corpus import (CORPUS_NAMES, corpus_graph, dump_graph_file,
                               parse_graph_file, random_matching_covered)
+from pmlattice.graph import MultiGraph
 from pmlattice.matchings import is_matching_covered
 
 
@@ -89,6 +90,23 @@ def test_cli_pm_count_agrees_with_pm_list(tmp_path, capsys):
         listed = json.loads(listed)["result"]
         assert listed["count"] == len(listed["matchings"])
         assert json.loads(counted)["result"] == {"count": listed["count"]}, name
+
+
+def test_cli_long_path_enumerates_without_recursion(tmp_path, capsys):
+    # one perfect matching, 1,200 edges deep: deeper than Python's
+    # default recursion limit
+    n = 2400
+    path = tmp_path / "path.json"
+    path.write_text(dump_graph_file("path-2400", MultiGraph.from_pairs(
+        n, [(i, i + 1) for i in range(n - 1)])))
+    code, out = _run(["pm", "list", "--input", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["matchings"] == [list(range(0, n - 1, 2))]
+    code = main(["bvn", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and "Traceback" not in captured.err
+    result = json.loads(captured.out)["result"]
+    assert result["error"] == "precondition" and result["reason"] == "not_matching_covered"
 
 
 def test_cli_reports_byte_deterministic(tmp_path, capsys):

@@ -8,8 +8,7 @@ from pmlattice.errors import PreconditionViolated
 from pmlattice.graph import (MultiGraph, boundary, components_minus,
                              contract_shore, five_cycles, girth,
                              graph_isomorphic, is_bipartite, is_petersen,
-                             make_cut, make_shore, odd_shores, petersen_graph,
-                             simplify)
+                             make_cut, odd_shores, petersen_graph, simplify)
 
 from conftest import brute_force_girth
 
@@ -190,7 +189,7 @@ def test_shore_and_cut_canonicalization(corpus):
     assert c1.boundary == frozenset((6, 7, 8))
     assert boundary(g, (3, 4, 5)) == c1.boundary
     with pytest.raises(PreconditionViolated):
-        make_shore(g, ())
+        make_cut(g, ())
 
 
 def test_odd_shores_all_contain_vertex_zero(corpus):

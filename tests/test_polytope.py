@@ -1,15 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pmlattice.corpus import random_matching_covered
 from pmlattice.errors import PreconditionViolated, VertexCapExceeded
-from pmlattice.graph import boundary, cut_contractions, make_cut, odd_shores
+from pmlattice.graph import (MultiGraph, boundary, cut_contractions, make_cut,
+                             odd_shores)
 from pmlattice.matchings import (enumerate_perfect_matchings,
-                                 incidence_vectors, matching_covered)
+                                 incidence_vectors, matching_covered,
+                                 matching_table)
 from pmlattice.polytope import (classify_cut, cuts_equivalent,
                                 enumerate_codim2_faces, enumerate_facets,
                                 face_covers_all_edges, face_members, is_bvn,
                                 is_separating, polytope_dim, uncross)
 
-from conftest import oracle_affine_dim
+from conftest import oracle_affine_dim, oracle_odd_faces
 
 
 def test_dimension_examples(corpus):
@@ -62,6 +67,39 @@ def test_separating_definitions_agree(corpus):
             ks, kc = cut_contractions(g, shore)
             by_contraction = matching_covered(ks) and matching_covered(kc)
             assert by_face == by_contraction == is_separating(g, shore), (name, shore)
+
+
+def _assert_faces_match_oracle(g: MultiGraph) -> None:
+    table = matching_table(g)
+    for shore, (members, covers) in oracle_odd_faces(g).items():
+        face = table.face(table.cut_mask(shore))
+        indices = table.members(face)
+        assert [table.matchings[i].edge_ids for i in sorted(indices)] == members, shore
+        assert table.covers_all_edges(face) == covers, shore
+        assert face_members(g, boundary(g, shore)) == indices, shore
+        assert face_covers_all_edges(g, indices) == covers, shore
+
+
+def test_table_faces_match_oracle_on_corpus(corpus):
+    for g in corpus.values():
+        if g.vertex_count <= 10:
+            _assert_faces_match_oracle(g)
+
+
+@st.composite
+def _random_graphs_with_doubled_edges(draw) -> MultiGraph:
+    """A seeded random matching-covered graph on at most 12 vertices with
+    up to three of its edges doubled."""
+    n = 2 * draw(st.integers(1, 6))
+    _, g = random_matching_covered(draw(st.integers(0, 10**6)), n, draw(st.integers(1, 3)))
+    pairs = [(u, v) for _, u, v in g.edges]
+    return MultiGraph.from_pairs(n, pairs + draw(st.lists(st.sampled_from(pairs), max_size=3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_graphs_with_doubled_edges())
+def test_table_faces_match_oracle_on_random_graphs(g):
+    _assert_faces_match_oracle(g)
 
 
 def test_tight_implies_separating_on_all_classified_cuts(corpus):
