@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .decomposition import (brick_count, canonical_parity_cycle,
@@ -23,7 +22,7 @@ from .decomposition import (brick_count, canonical_parity_cycle,
 from .errors import PreconditionViolated, TheoremFalsified
 from .graph import (Cut, MultiGraph, boundary, contract_shore,
                     cut_contractions, five_cycles, is_petersen, make_cut,
-                    shore_complement, shore_index_map, simplify)
+                    per_graph, shore_complement, shore_index_map, simplify)
 from .linalg import (Lattice, gf2_kernel, hnf, lattice_equal, lattice_index,
                      lattice_member, rank, saturation)
 from .matchings import (PerfectMatching, _is_perfect_matching_of,
@@ -65,7 +64,6 @@ def _validate_side_basis(b: Basis) -> None:
         raise PreconditionViolated("bad_basis", "basis elements are linearly dependent")
 
 
-@lru_cache(maxsize=None)
 def pm_linear_basis(g: MultiGraph) -> Basis:
     """Greedy linear basis of lin(P(G)) from the matching enumeration."""
     require_matching_covered(g)
@@ -400,14 +398,14 @@ def _span_lattice(g: MultiGraph, elements: Sequence[PerfectMatching]) -> Lattice
     return hnf(incidence_vectors(g, elements), len(g.edges))
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def matching_saturation(g: MultiGraph) -> Lattice:
     """Lattice of all integer points in lin(P(G)): the saturation of the
     span of the matching incidence vectors."""
     return saturation(incidence_vectors(g, enumerate_perfect_matchings(g)), len(g.edges))
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def matching_lattice(g: MultiGraph) -> Lattice:
     """The matching lattice L(G): integer span of all matching vectors."""
     return hnf(incidence_vectors(g, enumerate_perfect_matchings(g)), len(g.edges))

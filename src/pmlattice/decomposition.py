@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import PreconditionViolated, TheoremFalsified
 from .graph import (Cut, MultiGraph, components_minus, contract_shore,
                     cut_contractions, five_cycles, is_bipartite, is_petersen,
-                    make_cut, shore_complement, shore_index_map, simplify)
+                    make_cut, per_graph, shore_complement, shore_index_map,
+                    simplify)
 from .matchings import (enumerate_perfect_matchings, matching_table,
                         require_matching_covered)
 from .polytope import dim_by_rank
@@ -103,7 +103,7 @@ def _build(g: MultiGraph, rng: random.Random | None) -> DecompTree:
                       children=(_build(keep_shore, rng), _build(keep_comp, rng)))
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def _decomposition_cached(g: MultiGraph) -> DecompTree:
     return _build(g, None)
 
@@ -121,7 +121,6 @@ def tight_cut_decomposition(g: MultiGraph, seed: int | None = None) -> DecompTre
     return _build(g, random.Random(seed))
 
 
-@lru_cache(maxsize=None)
 def brick_count(g: MultiGraph) -> int:
     """Number of brick leaves b(G), cross-checked against the dimension
     formula inversion; a mismatch is a hard error."""

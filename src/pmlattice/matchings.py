@@ -11,18 +11,19 @@ matchings are counted through 1,597 vertex sets).
 
 ``matching_table(g)`` is the one place matchings become bitmasks: an edge
 mask per matching and a star mask per vertex, built once per graph.  Face
-queries in ``polytope``, the tight-shore search in ``decomposition`` and
-the P-TRIPLE scan in ``verifier`` all read it.
+queries and cut equivalence in ``polytope``, the tight-shore search in
+``decomposition`` and the P-TRIPLE scan in ``verifier`` all read it.  The
+matchings, the table and the matching-covered verdict are kept in the
+graph's memo (``graph.per_graph``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import PreconditionViolated, TheoremFalsified
-from .graph import Cut, MultiGraph, cut_contractions, is_connected
+from .graph import Cut, MultiGraph, cut_contractions, is_connected, per_graph
 
 
 @dataclass(frozen=True)
@@ -41,10 +42,6 @@ class PerfectMatching:
     def incidence_on(self, g: MultiGraph) -> tuple[int, ...]:
         return tuple(1 if eid in self.edge_ids else 0 for eid in g.edge_ids)
 
-    def crossings(self, cut: Cut | frozenset[int]) -> int:
-        edges = cut.boundary if isinstance(cut, Cut) else cut
-        return len(self.edge_ids & edges)
-
     def __contains__(self, eid: int) -> bool:
         return eid in self.edge_ids
 
@@ -53,7 +50,7 @@ def incidence_vectors(g: MultiGraph, matchings: Iterable[PerfectMatching]) -> li
     return [m.incidence_on(g) for m in matchings]
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def enumerate_perfect_matchings(g: MultiGraph) -> tuple[PerfectMatching, ...]:
     """All perfect matchings, ordered lexicographically by sorted id tuple.
 
@@ -127,6 +124,10 @@ class MatchingTable:
         """Face mask of the matchings meeting the edge mask ``cut`` once."""
         return sum(1 << i for i, m in enumerate(self.masks) if (m & cut).bit_count() == 1)
 
+    def shore_face(self, shore: int) -> int:
+        """Face mask of delta(X) for the vertex set X given as a bitmask."""
+        return self.face(self.cut_mask(v for v in range(len(self.stars)) if shore >> v & 1))
+
     def avoiding(self, eid: int) -> int:
         """Face mask of the matchings without edge ``eid`` (x_e = 0)."""
         bit = 1 << self.edge_pos[eid]
@@ -147,7 +148,7 @@ class MatchingTable:
         return frozenset(i for i in range(face.bit_length()) if face >> i & 1)
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def matching_table(g: MultiGraph) -> MatchingTable:
     edge_pos = {eid: i for i, (eid, _, _) in enumerate(g.edges)}
     stars = [0] * g.vertex_count
@@ -186,6 +187,7 @@ def count_perfect_matchings(g: MultiGraph) -> int:
     return ways.get(0, 0)
 
 
+@per_graph
 def is_matching_covered(g: MultiGraph) -> tuple[bool, frozenset[int]]:
     """Whether g is connected and every edge lies in a perfect matching.
 

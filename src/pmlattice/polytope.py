@@ -2,23 +2,22 @@
 
 Faces are handled as sets of matching indices into the canonical matching
 enumeration, never as inequality systems: exact, finite, and easy to
-deduplicate at desk scale.  Membership queries are answered from the
-graph's bitmask table, ``matchings.matching_table``.  Candidate facet
-exposers are the edges (``x_e >= 0``) and the nontrivial odd cuts
-(``x(C) >= 1``), which suffice by the Edmonds-Johnson description; the
-degree equations are the affine hull.  Every scan for odd cuts whose face
-is a facet goes through ``_facet_shores``.
+deduplicate at desk scale.  Membership and cut-equivalence queries are
+answered from the graph's bitmask table, ``matchings.matching_table``.
+Candidate facet exposers are the edges (``x_e >= 0``) and the nontrivial
+odd cuts (``x(C) >= 1``), which suffice by the Edmonds-Johnson
+description; the degree equations are the affine hull.  Every scan for
+odd cuts whose face is a facet goes through ``_facet_shores``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import PreconditionViolated, TheoremFalsified, VertexCapExceeded
 from .graph import (Cut, MultiGraph, boundary, cut_contractions, make_cut,
-                    odd_shores, shore_complement)
+                    odd_shores, per_graph, shore_complement)
 from .linalg import affine_dim
 from .matchings import (enumerate_perfect_matchings, incidence_vectors,
                         matching_covered, matching_table,
@@ -59,13 +58,12 @@ class CutClass:
     face: Face
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def dim_by_rank(g: MultiGraph) -> int:
     """Affine dimension of the hull of matching incidence vectors."""
     return affine_dim(incidence_vectors(g, enumerate_perfect_matchings(g)))
 
 
-@lru_cache(maxsize=None)
 def polytope_dim(g: MultiGraph) -> int:
     """dim P(G), exact; cross-checked against |E| - |V| + 1 - b(G)."""
     from .decomposition import brick_count  # decomposition imports this module
@@ -87,7 +85,7 @@ def edge_face_members(g: MultiGraph, eid: int) -> frozenset[int]:
     return t.members(t.avoiding(eid))
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def members_dim(g: MultiGraph, members: frozenset[int]) -> int:
     ms = enumerate_perfect_matchings(g)
     return affine_dim([ms[i].incidence_on(g) for i in sorted(members)])
@@ -98,7 +96,7 @@ def face_covers_all_edges(g: MultiGraph, members: frozenset[int]) -> bool:
     return matching_table(g).covers_all_edges(sum(1 << i for i in members))
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def is_separating(g: MultiGraph, shore: tuple[int, ...]) -> bool:
     """Both cut-contractions matching-covered.
 
@@ -226,8 +224,9 @@ def enumerate_codim2_faces(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP
 
 def cuts_equivalent(g: MultiGraph, c1: Cut, c2: Cut) -> bool:
     """Whether every perfect matching meets both cuts equally often."""
-    return all(m.crossings(c1) == m.crossings(c2)
-               for m in enumerate_perfect_matchings(g))
+    t = matching_table(g)
+    b1, b2 = t.edge_mask(c1.boundary), t.edge_mask(c2.boundary)
+    return all((m & b1).bit_count() == (m & b2).bit_count() for m in t.masks)
 
 
 @dataclass(frozen=True)

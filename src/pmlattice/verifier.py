@@ -228,8 +228,7 @@ def _p_triple(g: MultiGraph, cap: int) -> tuple[str, dict]:
     full_vertices = (1 << n) - 1
     odd_masks = [m for m in range(1, full_vertices)
                  if bin(m).count("1") % 2 == 1]
-    faces = {m: table.face(table.cut_mask(v for v in range(n) if m >> v & 1))
-             for m in odd_masks}
+    faces = {m: table.shore_face(m) for m in odd_masks}
     checked = 0
     for m2 in odd_masks:
         comp = full_vertices ^ m2

@@ -1,14 +1,26 @@
+import ast
+import functools
+import itertools
 import random
+import sys
+import threading
 from itertools import permutations
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+from pmlattice import graph
+from pmlattice.decomposition import brick_count
 from pmlattice.errors import PreconditionViolated
-from pmlattice.graph import (MultiGraph, boundary, components_minus,
-                             contract_shore, five_cycles, girth,
+from pmlattice.graph import (GRAPHS_KEPT, MultiGraph, boundary,
+                             components_minus, contract_shore,
+                             cut_contractions, five_cycles, girth,
                              graph_isomorphic, is_bipartite, is_petersen,
-                             make_cut, odd_shores, petersen_graph, simplify)
+                             make_cut, odd_shores, per_graph, petersen_graph,
+                             simplify)
+from pmlattice.matchings import PerfectMatching, enumerate_perfect_matchings
+from pmlattice.polytope import polytope_dim
 
 from conftest import brute_force_girth
 
@@ -199,3 +211,135 @@ def test_odd_shores_all_contain_vertex_zero(corpus):
     assert len(shores) == len(set(shores))
     # sizes 3 and 5 on 8 vertices: C(7,2) + C(7,4)
     assert len(shores) == 21 + 35
+
+
+# --- per-graph memo ---------------------------------------------------------
+
+# edge-id offsets no other test uses, so each memo test starts from graphs
+# that no memo holds yet
+_fresh_offsets = itertools.count(10**9, 10**6)
+
+
+def _fresh(g: MultiGraph) -> MultiGraph:
+    offset = next(_fresh_offsets)
+    return MultiGraph(g.vertex_count, tuple((eid + offset, u, v) for eid, u, v in g.edges))
+
+
+def test_memo_keeps_at_most_graphs_kept_graphs():
+    graphs = [_fresh(MultiGraph(2, ((0, 0, 1),))) for _ in range(GRAPHS_KEPT + 10)]
+
+    @per_graph
+    def only_edge(g):
+        return g.edges[0][0]
+
+    for g in graphs:
+        assert only_edge(g) == g.edges[0][0]
+    assert only_edge.cache_info() == (0, GRAPHS_KEPT + 10, GRAPHS_KEPT, GRAPHS_KEPT)
+    assert graph._memo.cache_info().currsize == GRAPHS_KEPT
+    # the first graphs were dropped: asked again, they are recomputed
+    assert only_edge(graphs[0]) == graphs[0].edges[0][0]
+    assert only_edge(graphs[-1]) == graphs[-1].edges[0][0]
+    assert only_edge.cache_info() == (1, GRAPHS_KEPT + 11, GRAPHS_KEPT, GRAPHS_KEPT)
+    only = PerfectMatching(frozenset({graphs[1].edges[0][0]}))
+    assert enumerate_perfect_matchings(graphs[1]) == (only,)
+    assert graph._memo.cache_info().currsize == GRAPHS_KEPT
+
+
+def test_equal_graphs_share_one_memo_entry(corpus):
+    g = _fresh(corpus["prism"])
+    a, _ = cut_contractions(g, (0, 1, 2))
+    b, _ = cut_contractions(g, (0, 1, 2))
+    assert a == b and a is not b
+    before = enumerate_perfect_matchings.cache_info()
+    assert enumerate_perfect_matchings(a) is enumerate_perfect_matchings(b)
+    after = enumerate_perfect_matchings.cache_info()
+    assert after.hits - before.hits == 1
+    assert after.misses - before.misses == 1
+    assert after.currsize - before.currsize == 1
+
+
+def test_memo_does_not_store_exceptions(corpus):
+    g = _fresh(corpus["k4"])
+    runs = []
+
+    @per_graph
+    def refuse(g):
+        runs.append(g)
+        raise PreconditionViolated("refused")
+
+    for _ in range(2):
+        with pytest.raises(PreconditionViolated):
+            refuse(g)
+    assert len(runs) == 2
+    assert refuse.cache_info() == (0, 2, GRAPHS_KEPT, 0)
+
+
+def test_memo_cache_info_counts_exactly(corpus):
+    g, h = _fresh(corpus["k4"]), _fresh(corpus["prism"])
+    runs = []
+
+    @per_graph
+    def degree(g, v):
+        runs.append((g, v))
+        return g.degree(v)
+
+    for v in (0, 1, 0, 2, 1, 0):
+        assert degree(g, v) == 3
+    assert degree(h, 0) == 3
+    assert runs == [(g, 0), (g, 1), (g, 2), (h, 0)]
+    info = degree.cache_info()
+    assert isinstance(info, functools._CacheInfo)
+    assert info._asdict() == {"hits": 3, "misses": 4, "maxsize": GRAPHS_KEPT, "currsize": 4}
+
+
+def test_memo_shared_across_threads(corpus):
+    names = sorted(corpus)
+    serial = {name: (polytope_dim(corpus[name]), brick_count(corpus[name])) for name in names}
+    fresh = {name: _fresh(corpus[name]) for name in names}
+    rounds = 50
+
+    @per_graph
+    def vertex_count(g):
+        return g.vertex_count
+
+    results: list[dict] = []
+
+    def work():
+        got = {name: (polytope_dim(fresh[name]), brick_count(fresh[name])) for name in names}
+        for _ in range(rounds):
+            for g in fresh.values():
+                vertex_count(g)
+        results.append(got)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 8
+    info = vertex_count.cache_info()
+    # a lost update would break these counts
+    assert info.hits + info.misses == 8 * rounds * len(names)
+    assert info.currsize == len(names)
+
+
+def test_only_the_memo_root_uses_lru_cache():
+    """Caching has one owner: no function in the package but the memo
+    root is decorated with functools.lru_cache or functools.cache."""
+    decorated = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "pmlattice").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name in ("lru_cache", "cache"):
+                    decorated.append(f"{path.stem}.{node.name}")
+    assert decorated == ["graph._memo"]

@@ -14,7 +14,7 @@ from pmlattice.polytope import (classify_cut, cuts_equivalent,
                                 face_covers_all_edges, face_members, is_bvn,
                                 is_separating, polytope_dim, uncross)
 
-from conftest import oracle_affine_dim, oracle_odd_faces
+from conftest import brute_force_matchings, oracle_affine_dim, oracle_odd_faces
 
 
 def test_dimension_examples(corpus):
@@ -73,6 +73,7 @@ def _assert_faces_match_oracle(g: MultiGraph) -> None:
     table = matching_table(g)
     for shore, (members, covers) in oracle_odd_faces(g).items():
         face = table.face(table.cut_mask(shore))
+        assert table.shore_face(sum(1 << v for v in shore)) == face, shore
         indices = table.members(face)
         assert [table.matchings[i].edge_ids for i in sorted(indices)] == members, shore
         assert table.covers_all_edges(face) == covers, shore
@@ -167,6 +168,16 @@ def test_cuts_equivalent(corpus):
     c1 = make_cut(p, (0, 1, 2, 3, 4))
     c2 = make_cut(p, (0, 1, 2, 6, 8))  # another 5-cycle shore
     assert not cuts_equivalent(p, c1, c2)
+    # against crossings counted on brute-force matchings, every pair of
+    # odd shores
+    for name in ("k4", "prism", "k33"):
+        g = corpus[name]
+        ms = brute_force_matchings(g)
+        cuts = [make_cut(g, s) for s in odd_shores(g, trivial=True)]
+        for c1 in cuts:
+            for c2 in cuts:
+                want = all(len(m & c1.boundary) == len(m & c2.boundary) for m in ms)
+                assert cuts_equivalent(g, c1, c2) == want, (name, c1.shore, c2.shore)
 
 
 def test_uncross_positive_case(corpus):
