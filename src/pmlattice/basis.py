@@ -27,9 +27,9 @@ from .linalg import (Lattice, gf2_kernel, hnf, lattice_equal, lattice_index,
                      lattice_member, rank, saturation)
 from .matchings import (PerfectMatching, _is_perfect_matching_of,
                         enumerate_perfect_matchings, incidence_vectors,
-                        require_matching_covered)
-from .polytope import (DEFAULT_VERTEX_CAP, cuts_equivalent, dim_by_rank,
-                       face_members, is_bvn, is_separating, members_dim,
+                        matching_table, require_matching_covered)
+from .polytope import (DEFAULT_VERTEX_CAP, cut_face, cuts_equivalent,
+                       dim_by_rank, is_bvn, is_separating, members_dim,
                        separating_facet_defining_cuts)
 
 
@@ -69,8 +69,8 @@ def pm_linear_basis(g: MultiGraph) -> Basis:
     require_matching_covered(g)
     picked: list[PerfectMatching] = []
     vecs: list[tuple[int, ...]] = []
-    for m in enumerate_perfect_matchings(g):
-        v = m.incidence_on(g)
+    t = matching_table(g)
+    for m, v in zip(t.matchings, t.vectors):
         if rank(vecs + [v]) > len(vecs):
             picked.append(m)
             vecs.append(v)
@@ -377,18 +377,19 @@ def find_intersection_pair(g: MultiGraph,
     since such a pair is guaranteed to exist.
     """
     _intersection_preconditions(g)
-    ms = enumerate_perfect_matchings(g)
+    t = matching_table(g)
     cuts = separating_facet_defining_cuts(g, max_vertices)
-    for cut in cuts:
-        for m in ms:
-            if len(m.edge_ids & cut.boundary) == 3:
-                return IntersectionPair(m, cut)
+    bounds = [t.edge_mask(c.boundary) for c in cuts]
+    for cut, b in zip(cuts, bounds):
+        m = t.three_crossing(b)
+        if m is not None:
+            return IntersectionPair(m, cut)
     raise TheoremFalsified("a 3-intersecting (matching, cut) pair exists", {
         "vertex_count": g.vertex_count,
         "edges": [[eid, u, v] for eid, u, v in sorted(g.edges)],
         "cut_table": [{"shore": list(c.shore),
-                       "crossings": [len(m.edge_ids & c.boundary) for m in ms]}
-                      for c in cuts]})
+                       "crossings": [(m & b).bit_count() for m in t.masks]}
+                      for c, b in zip(cuts, bounds)]})
 
 
 # --- integral bases ----------------------------------------------------------
@@ -402,13 +403,13 @@ def _span_lattice(g: MultiGraph, elements: Sequence[PerfectMatching]) -> Lattice
 def matching_saturation(g: MultiGraph) -> Lattice:
     """Lattice of all integer points in lin(P(G)): the saturation of the
     span of the matching incidence vectors."""
-    return saturation(incidence_vectors(g, enumerate_perfect_matchings(g)), len(g.edges))
+    return saturation(matching_table(g).vectors, len(g.edges))
 
 
 @per_graph
 def matching_lattice(g: MultiGraph) -> Lattice:
     """The matching lattice L(G): integer span of all matching vectors."""
-    return hnf(incidence_vectors(g, enumerate_perfect_matchings(g)), len(g.edges))
+    return hnf(matching_table(g).vectors, len(g.edges))
 
 
 def _check_integral(g: MultiGraph, elements: Sequence[PerfectMatching], stage: str) -> None:
@@ -428,19 +429,18 @@ def _bvn_integral_elements(g: MultiGraph) -> tuple[PerfectMatching, ...]:
     integral basis; when it does not, fall back to the exhaustive
     lexicographic subset search whose success is externally guaranteed.
     """
-    ms = enumerate_perfect_matchings(g)
+    t = matching_table(g)
     want = matching_saturation(g)
     greedy = pm_linear_basis(g).elements
     if lattice_equal(_span_lattice(g, greedy), want):
         return greedy
     need = dim_by_rank(g) + 1
-    for combo in itertools.combinations(range(len(ms)), need):
-        cand = [ms[i] for i in combo]
-        vecs = incidence_vectors(g, cand)
+    for combo in itertools.combinations(range(len(t.matchings)), need):
+        vecs = [t.vectors[i] for i in combo]
         if rank(vecs) == need and lattice_equal(hnf(vecs, len(g.edges)), want):
-            return tuple(cand)
+            return tuple(t.matchings[i] for i in combo)
     raise TheoremFalsified("a BvN matching polytope admits an integral matching basis", {
-        "vertex_count": g.vertex_count, "matchings": len(ms)})
+        "vertex_count": g.vertex_count, "matchings": len(t.matchings)})
 
 
 class _GuidedStall(Exception):
@@ -463,7 +463,7 @@ def _adjust_cut(g: MultiGraph, cut: Cut, m: PerfectMatching,
     verification failure on the way falls back to the exhaustive scan over
     all separating facet-defining cuts with Petersen-free sides.
     """
-    ms = enumerate_perfect_matchings(g)
+    t = matching_table(g)
 
     def guided() -> tuple[Cut, PerfectMatching]:
         side = None
@@ -490,7 +490,7 @@ def _adjust_cut(g: MultiGraph, cut: Cut, m: PerfectMatching,
             z_h = min(tight_zs, key=lambda t: (len(t), t))
             z = frozenset(back[v] for v in z_h)
             new_cut = make_cut(g, z)
-            same_face = face_members(g, current.boundary) == face_members(g, new_cut.boundary)
+            same_face = cut_face(g, current.boundary) == cut_face(g, new_cut.boundary)
             if not (same_face and cuts_equivalent(g, current, new_cut)
                     and is_separating(g, new_cut.shore)
                     and len(m.edge_ids & new_cut.boundary) == 3):
@@ -507,14 +507,14 @@ def _adjust_cut(g: MultiGraph, cut: Cut, m: PerfectMatching,
                 continue
             y = frozenset(back[v] for v in verts)
             d_cut = make_cut(g, y)
-            mem = face_members(g, d_cut.boundary)
-            if not mem or members_dim(g, mem) != d - 1:
+            face = cut_face(g, d_cut.boundary)
+            if not face or members_dim(g, face) != d - 1:
                 continue
             if not is_separating(g, d_cut.shore) or not _sides_petersen_free(g, d_cut):
                 continue
-            for m2 in ms:
-                if len(m2.edge_ids & d_cut.boundary) == 3:
-                    return d_cut, m2
+            m2 = t.three_crossing(t.edge_mask(d_cut.boundary))
+            if m2 is not None:
+                return d_cut, m2
         raise _GuidedStall
 
     try:
@@ -523,9 +523,9 @@ def _adjust_cut(g: MultiGraph, cut: Cut, m: PerfectMatching,
         for c2 in separating_facet_defining_cuts(g, max_vertices):
             if not _sides_petersen_free(g, c2):
                 continue
-            for m2 in ms:
-                if len(m2.edge_ids & c2.boundary) == 3:
-                    return c2, m2
+            m2 = t.three_crossing(t.edge_mask(c2.boundary))
+            if m2 is not None:
+                return c2, m2
         raise TheoremFalsified(
             "a separating facet-defining cut with Petersen-free sides and a "
             "3-crossing matching exists", {

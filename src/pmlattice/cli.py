@@ -29,7 +29,7 @@ from .matchings import count_perfect_matchings, enumerate_perfect_matchings
 from .polytope import (DEFAULT_VERTEX_CAP, classify_all_cuts,
                        enumerate_codim2_faces, enumerate_facets, is_bvn,
                        polytope_dim)
-from .verifier import verify_all, verify_property
+from .verifier import DEFAULT_TRIPLE_CAP, verify_all, verify_property
 
 SCHEMA = "pmlattice-report/1"
 
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("property_id", nargs="?", default=None,
                      help="property id or 'all' (default all)")
     ver.add_argument("--property", default=None, help="property id (overrides positional)")
-    ver.add_argument("--triple-cap", type=int, default=10,
+    ver.add_argument("--triple-cap", type=int, default=DEFAULT_TRIPLE_CAP,
                      help="vertex cap for the nested-triple exhaustion (default %(default)s)")
     common(ver)
 
@@ -295,8 +295,6 @@ def _run(args, started: float, name: str | None, g: MultiGraph | None) -> tuple[
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "triple_cap"):
-        args.triple_cap = 10
     command = args.command + (f" {getattr(args, 'action', '')}".rstrip())
     started = time.monotonic()
     name, g = None, None

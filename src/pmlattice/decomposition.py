@@ -15,9 +15,8 @@ from .graph import (Cut, MultiGraph, components_minus, contract_shore,
                     cut_contractions, five_cycles, is_bipartite, is_petersen,
                     make_cut, per_graph, shore_complement, shore_index_map,
                     simplify)
-from .matchings import (enumerate_perfect_matchings, matching_table,
-                        require_matching_covered)
-from .polytope import dim_by_rank
+from .matchings import matching_table, require_matching_covered
+from .polytope import cut_face, dim_by_rank
 
 
 @dataclass(frozen=True)
@@ -196,8 +195,7 @@ def barrier_of_tight_cut(g: MultiGraph, c: Cut) -> frozenset[int]:
     require_matching_covered(g)
     if not is_near_brick(g):
         raise PreconditionViolated("not_near_brick")
-    ms = enumerate_perfect_matchings(g)
-    if not all(len(m.edge_ids & c.boundary) == 1 for m in ms):
+    if cut_face(g, c.boundary) != matching_table(g).all_matchings:
         raise PreconditionViolated("not_tight", "cut is not tight")
     for side in (c.shore_set, shore_complement(g, c.shore_set)):
         comp_side = shore_complement(g, side)

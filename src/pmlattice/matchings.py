@@ -9,12 +9,14 @@ merges its nodes by the set of uncovered vertices, so it never lists a
 matching and costs at most what enumeration costs (K16's 2,027,025
 matchings are counted through 1,597 vertex sets).
 
-``matching_table(g)`` is the one place matchings become bitmasks: an edge
-mask per matching and a star mask per vertex, built once per graph.  Face
-queries and cut equivalence in ``polytope``, the tight-shore search in
-``decomposition`` and the P-TRIPLE scan in ``verifier`` all read it.  The
-matchings, the table and the matching-covered verdict are kept in the
-graph's memo (``graph.per_graph``).
+``matching_table(g)`` is the one place matchings become bitmasks and
+rows: an edge mask and an incidence row per matching and a star mask per
+vertex, built once per graph.  A face is an int mask over matching
+indices; every face, dimension, crossing-count and cut-equivalence query
+in ``polytope``, ``decomposition``, ``verifier`` and ``basis`` reads the
+table, and ``PerfectMatching.incidence_on`` is left to bases made of
+merged matchings.  The matchings, the table and the matching-covered
+verdict are kept in the graph's memo (``graph.per_graph``).
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from .graph import Cut, MultiGraph, cut_contractions, is_connected, per_graph
 class PerfectMatching:
     """A perfect matching as a set of edge ids.
 
-    The sorted id tuple doubles as the canonical sort key; incidence
-    vectors are produced against a graph's edge order on demand.
+    The sorted id tuple doubles as the canonical sort key; ``incidence_on``
+    gives the row of a matching outside the graph's ``MatchingTable``,
+    such as a merged basis element.
     """
 
     edge_ids: frozenset[int]
@@ -94,20 +97,27 @@ def enumerate_perfect_matchings(g: MultiGraph) -> tuple[PerfectMatching, ...]:
 
 @dataclass(frozen=True)
 class MatchingTable:
-    """The perfect matchings of one graph as bitmasks; every face query
-    is answered from it.
+    """The perfect matchings of one graph as bitmasks and incidence rows;
+    every face query is answered from it.
 
-    Bit i of an edge mask is ``g.edges[i]``; bit i of a face mask is
-    ``matchings[i]``.  ``masks`` holds one edge mask per matching and
-    ``stars`` one per vertex (its incident edges), so the boundary of a
-    vertex set is the XOR of its stars.
+    Bit i of an edge mask and entry i of a row is ``g.edges[i]``; bit i
+    of a face mask is ``matchings[i]``.  ``masks`` holds one edge mask per
+    matching, ``vectors`` its incidence row, and ``stars`` one edge mask
+    per vertex (its incident edges), so the boundary of a vertex set is
+    the XOR of its stars.
     """
 
     matchings: tuple[PerfectMatching, ...]
     edge_pos: dict[int, int]
     masks: tuple[int, ...]
+    vectors: tuple[tuple[int, ...], ...]
     stars: tuple[int, ...]
     all_edges: int
+
+    @property
+    def all_matchings(self) -> int:
+        """Face mask of every matching (the face of a tight cut)."""
+        return (1 << len(self.masks)) - 1
 
     def edge_mask(self, edge_ids: Iterable[int]) -> int:
         """Edge mask of a set of distinct edge ids."""
@@ -128,6 +138,12 @@ class MatchingTable:
         """Face mask of delta(X) for the vertex set X given as a bitmask."""
         return self.face(self.cut_mask(v for v in range(len(self.stars)) if shore >> v & 1))
 
+    def three_crossing(self, cut: int) -> PerfectMatching | None:
+        """First matching, in enumeration order, meeting the edge mask
+        ``cut`` exactly three times, or None."""
+        return next((self.matchings[i] for i, m in enumerate(self.masks)
+                     if (m & cut).bit_count() == 3), None)
+
     def avoiding(self, eid: int) -> int:
         """Face mask of the matchings without edge ``eid`` (x_e = 0)."""
         bit = 1 << self.edge_pos[eid]
@@ -142,11 +158,6 @@ class MatchingTable:
             face ^= low
         return used == self.all_edges
 
-    @staticmethod
-    def members(face: int) -> frozenset[int]:
-        """Matching indices of a face mask."""
-        return frozenset(i for i in range(face.bit_length()) if face >> i & 1)
-
 
 @per_graph
 def matching_table(g: MultiGraph) -> MatchingTable:
@@ -157,7 +168,8 @@ def matching_table(g: MultiGraph) -> MatchingTable:
         stars[v] |= 1 << i
     ms = enumerate_perfect_matchings(g)
     masks = tuple(sum(1 << edge_pos[eid] for eid in m.edge_ids) for m in ms)
-    return MatchingTable(ms, edge_pos, masks, tuple(stars), (1 << len(g.edges)) - 1)
+    vectors = tuple(tuple(m >> i & 1 for i in range(len(g.edges))) for m in masks)
+    return MatchingTable(ms, edge_pos, masks, vectors, tuple(stars), (1 << len(g.edges)) - 1)
 
 
 def count_perfect_matchings(g: MultiGraph) -> int:

@@ -1,9 +1,12 @@
 """Facial analysis of the perfect matching polytope in V-representation.
 
-Faces are handled as sets of matching indices into the canonical matching
-enumeration, never as inequality systems: exact, finite, and easy to
-deduplicate at desk scale.  Membership and cut-equivalence queries are
-answered from the graph's bitmask table, ``matchings.matching_table``.
+A face is an int mask over the canonical matching enumeration (bit i is
+matching i), never an inequality system: exact, finite, and easy to
+deduplicate at desk scale.  Faces intersect by ``&``, and face ``a`` lies
+in face ``b`` when ``not a & ~b``.  Masks, incidence rows and crossing
+counts come from the graph's table, ``matchings.matching_table``; a
+face's dimension is the affine rank of its rows (``members_dim``,
+memoized on the mask).
 Candidate facet exposers are the edges (``x_e >= 0``) and the nontrivial
 odd cuts (``x(C) >= 1``), which suffice by the Edmonds-Johnson
 description; the degree equations are the affine hull.  Every scan for
@@ -19,8 +22,7 @@ from .errors import PreconditionViolated, TheoremFalsified, VertexCapExceeded
 from .graph import (Cut, MultiGraph, boundary, cut_contractions, make_cut,
                     odd_shores, per_graph, shore_complement)
 from .linalg import affine_dim
-from .matchings import (enumerate_perfect_matchings, incidence_vectors,
-                        matching_covered, matching_table,
+from .matchings import (matching_covered, matching_table,
                         require_matching_covered)
 
 DEFAULT_VERTEX_CAP = 16
@@ -33,20 +35,25 @@ def check_cap(g: MultiGraph, max_vertices: int) -> None:
 
 @dataclass(frozen=True)
 class Face:
-    """A face of P(G) as the set of matchings lying on it.
+    """A face of P(G) as the mask of the matchings lying on it.
 
     ``dim`` is the exact affine dimension (-1 for the empty face);
     ``exposed_by_edges`` / ``exposed_by_cuts`` record every scanned
     exposer whose face this is.
     """
 
-    member_matchings: frozenset[int]
+    mask: int
     dim: int
     exposed_by_edges: tuple[int, ...] = ()
     exposed_by_cuts: tuple[Cut, ...] = ()
 
     def key(self) -> tuple[int, ...]:
-        return tuple(sorted(self.member_matchings))
+        """Indices of the member matchings, ascending."""
+        return tuple(i for i in range(self.mask.bit_length()) if self.mask >> i & 1)
+
+    @property
+    def member_matchings(self) -> frozenset[int]:
+        return frozenset(self.key())
 
 
 @dataclass(frozen=True)
@@ -61,7 +68,7 @@ class CutClass:
 @per_graph
 def dim_by_rank(g: MultiGraph) -> int:
     """Affine dimension of the hull of matching incidence vectors."""
-    return affine_dim(incidence_vectors(g, enumerate_perfect_matchings(g)))
+    return affine_dim(matching_table(g).vectors)
 
 
 def polytope_dim(g: MultiGraph) -> int:
@@ -73,27 +80,17 @@ def polytope_dim(g: MultiGraph) -> int:
     return dim_by_rank(g)
 
 
-def face_members(g: MultiGraph, edge_set: frozenset[int]) -> frozenset[int]:
-    """Indices of matchings meeting the cut edge set exactly once."""
+def cut_face(g: MultiGraph, edge_set: Iterable[int]) -> int:
+    """Face mask of the matchings meeting the cut edge set exactly once."""
     t = matching_table(g)
-    return t.members(t.face(t.edge_mask(edge_set)))
-
-
-def edge_face_members(g: MultiGraph, eid: int) -> frozenset[int]:
-    """Indices of matchings avoiding the edge (the face of x_e >= 0)."""
-    t = matching_table(g)
-    return t.members(t.avoiding(eid))
+    return t.face(t.edge_mask(edge_set))
 
 
 @per_graph
-def members_dim(g: MultiGraph, members: frozenset[int]) -> int:
-    ms = enumerate_perfect_matchings(g)
-    return affine_dim([ms[i].incidence_on(g) for i in sorted(members)])
-
-
-def face_covers_all_edges(g: MultiGraph, members: frozenset[int]) -> bool:
-    """Whether no inequality x_e >= 0 contains the face (every edge used)."""
-    return matching_table(g).covers_all_edges(sum(1 << i for i in members))
+def members_dim(g: MultiGraph, face: int) -> int:
+    """Affine dimension of the face with mask ``face``."""
+    rows = matching_table(g).vectors
+    return affine_dim([rows[i] for i in range(face.bit_length()) if face >> i & 1])
 
 
 @per_graph
@@ -120,18 +117,21 @@ def classify_cut(g: MultiGraph, x: Iterable[int]) -> CutClass:
     if not (1 < len(vs) < n - 1):
         raise PreconditionViolated("trivial_shore", "shore size must satisfy 1 < |X| < |V|-1")
     require_matching_covered(g)
+    return _classify(g, vs, polytope_dim(g))
+
+
+def _classify(g: MultiGraph, vs: frozenset[int], d: int) -> CutClass:
+    """classify_cut on a checked odd shore of a graph with dim P(G) = d."""
     cut = make_cut(g, vs)
-    ms = enumerate_perfect_matchings(g)
-    members = face_members(g, cut.boundary)
-    d = polytope_dim(g)
-    fdim = members_dim(g, members)
-    face = Face(members, fdim, exposed_by_cuts=(cut,))
-    tight = len(members) == len(ms)
+    t = matching_table(g)
+    face = t.face(t.edge_mask(cut.boundary))
+    fdim = members_dim(g, face)
+    tight = face == t.all_matchings
     sep = is_separating(g, cut.shore)
     if tight and not sep:
         raise TheoremFalsified("tight cuts are separating", {
             "shore": list(cut.shore), "boundary": sorted(cut.boundary)})
-    return CutClass(cut, tight, sep, fdim == d - 1, face)
+    return CutClass(cut, tight, sep, fdim == d - 1, Face(face, fdim, exposed_by_cuts=(cut,)))
 
 
 def separating_cuts(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Cut]:
@@ -141,16 +141,16 @@ def separating_cuts(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> li
     return [make_cut(g, s) for s in odd_shores(g) if is_separating(g, s)]
 
 
-def _facet_shores(g: MultiGraph) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:
-    """(shore, members) for every canonical nontrivial odd shore whose cut
-    face is a facet, in canonical shore order.  The one facet-shore scan:
-    callers check matching-coveredness and the vertex cap first."""
+def _facet_shores(g: MultiGraph) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(shore, face mask) for every canonical nontrivial odd shore whose
+    cut face is a facet, in canonical shore order.  The one facet-shore
+    scan: callers check matching-coveredness and the vertex cap first."""
     d = polytope_dim(g)
     t = matching_table(g)
     for shore in odd_shores(g):
-        members = t.members(t.face(t.cut_mask(shore)))
-        if members and members_dim(g, members) == d - 1:
-            yield shore, members
+        face = t.face(t.cut_mask(shore))
+        if face and members_dim(g, face) == d - 1:
+            yield shore, face
 
 
 def is_bvn(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> tuple[bool, Cut | None]:
@@ -173,31 +173,32 @@ def separating_facet_defining_cuts(g: MultiGraph,
 
 
 def classify_all_cuts(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[CutClass]:
-    """classify_cut over every canonical nontrivial odd shore, scan order."""
-    require_matching_covered(g)
-    check_cap(g, max_vertices)
-    return [classify_cut(g, frozenset(shore)) for shore in odd_shores(g)]
-
-
-def enumerate_facets(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Face]:
-    """All facets, deduplicated by member set, with their exposers."""
+    """classify_cut over every canonical nontrivial odd shore, scan order;
+    dim P(G) is computed once."""
     require_matching_covered(g)
     check_cap(g, max_vertices)
     d = polytope_dim(g)
-    edges_for: dict[frozenset[int], list[int]] = {}
-    cuts_for: dict[frozenset[int], list[Cut]] = {}
+    return [_classify(g, frozenset(shore), d) for shore in odd_shores(g)]
+
+
+def enumerate_facets(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Face]:
+    """All facets, deduplicated by face mask, with their exposers, in
+    ``Face.key`` order."""
+    require_matching_covered(g)
+    check_cap(g, max_vertices)
+    d = polytope_dim(g)
+    t = matching_table(g)
+    edges_for: dict[int, list[int]] = {}
+    cuts_for: dict[int, list[Cut]] = {}
     for eid in g.edge_ids:
-        members = edge_face_members(g, eid)
-        if members and members_dim(g, members) == d - 1:
-            edges_for.setdefault(members, []).append(eid)
-    for shore, members in _facet_shores(g):
-        cuts_for.setdefault(members, []).append(make_cut(g, shore))
-    out = []
-    for members in sorted(set(edges_for) | set(cuts_for), key=sorted):
-        out.append(Face(members, d - 1,
-                        tuple(sorted(edges_for.get(members, ()))),
-                        tuple(cuts_for.get(members, ()))))
-    return out
+        face = t.avoiding(eid)
+        if face and members_dim(g, face) == d - 1:
+            edges_for.setdefault(face, []).append(eid)
+    for shore, face in _facet_shores(g):
+        cuts_for.setdefault(face, []).append(make_cut(g, shore))
+    return sorted((Face(face, d - 1, tuple(sorted(edges_for.get(face, ()))),
+                        tuple(cuts_for.get(face, ())))
+                   for face in set(edges_for) | set(cuts_for)), key=Face.key)
 
 
 def enumerate_codim2_faces(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Face]:
@@ -207,19 +208,20 @@ def enumerate_codim2_faces(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP
     """
     facets = enumerate_facets(g, max_vertices)
     d = polytope_dim(g)
-    seen: dict[frozenset[int], None] = {}
+    t = matching_table(g)
+    seen: set[int] = set()
     for i in range(len(facets)):
         for j in range(i + 1, len(facets)):
-            members = facets[i].member_matchings & facets[j].member_matchings
-            if members_dim(g, members) == d - 2:
-                seen.setdefault(members)
-    by_edge: dict[frozenset[int], list[int]] = {}
+            face = facets[i].mask & facets[j].mask
+            if members_dim(g, face) == d - 2:
+                seen.add(face)
+    by_edge: dict[int, list[int]] = {}
     for eid in g.edge_ids:
-        members = edge_face_members(g, eid)
-        if members in seen:
-            by_edge.setdefault(members, []).append(eid)
-    return [Face(members, d - 2, tuple(sorted(by_edge.get(members, ()))))
-            for members in sorted(seen, key=sorted)]
+        face = t.avoiding(eid)
+        if face in seen:
+            by_edge.setdefault(face, []).append(eid)
+    return sorted((Face(face, d - 2, tuple(sorted(by_edge.get(face, ())))) for face in seen),
+                  key=Face.key)
 
 
 def cuts_equivalent(g: MultiGraph, c1: Cut, c2: Cut) -> bool:
@@ -256,10 +258,10 @@ def uncross(g: MultiGraph, c1: Cut | Iterable[int], c2: Cut | Iterable[int]) -> 
     d1, d2 = x1 - x2, x2 - x1
     no_edge = not any((u in d1 and v in d2) or (u in d2 and v in d1)
                       for _, u, v in g.edges)
-    ms = enumerate_perfect_matchings(g)
-    bad = tuple(i for i, m in enumerate(ms)
-                if len(m.edge_ids & cut1) + len(m.edge_ids & cut2)
-                != len(m.edge_ids & cut_i.boundary) + len(m.edge_ids & cut_u.boundary))
-    f12 = face_members(g, cut1) & face_members(g, cut2)
-    fiu = face_members(g, cut_i.boundary) & face_members(g, cut_u.boundary)
-    return cut_i, cut_u, UncrossReport(no_edge, not bad, bad, f12 == fiu)
+    t = matching_table(g)
+    b1, b2, bi, bu = (t.edge_mask(c) for c in (cut1, cut2, cut_i.boundary, cut_u.boundary))
+    bad = tuple(i for i, m in enumerate(t.masks)
+                if (m & b1).bit_count() + (m & b2).bit_count()
+                != (m & bi).bit_count() + (m & bu).bit_count())
+    faces_equal = t.face(b1) & t.face(b2) == t.face(bi) & t.face(bu)
+    return cut_i, cut_u, UncrossReport(no_edge, not bad, bad, faces_equal)

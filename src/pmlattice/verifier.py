@@ -15,18 +15,16 @@ from .decomposition import (barrier_of_tight_cut, brick_count,
                             find_tight_cut, is_near_brick, parity_sets,
                             tight_shores)
 from .errors import PreconditionViolated, TheoremFalsified, VertexCapExceeded
-from .graph import (MultiGraph, boundary, contract_shore, cut_contractions,
+from .graph import (MultiGraph, contract_shore, cut_contractions,
                     is_bipartite, is_petersen, make_cut, odd_shores,
                     shore_complement, shore_index_map)
 from .linalg import lattice_member
-from .matchings import (enumerate_perfect_matchings, matching_covered,
-                        matching_table)
-from .polytope import (DEFAULT_VERTEX_CAP, check_cap, cuts_equivalent,
-                       dim_by_rank, edge_face_members, enumerate_codim2_faces,
-                       enumerate_facets, face_covers_all_edges, face_members,
-                       is_bvn, is_separating, members_dim, polytope_dim,
-                       separating_cuts, separating_facet_defining_cuts,
-                       uncross)
+from .matchings import matching_covered, matching_table
+from .polytope import (DEFAULT_VERTEX_CAP, check_cap, cut_face,
+                       cuts_equivalent, dim_by_rank, enumerate_codim2_faces,
+                       enumerate_facets, is_bvn, is_separating, members_dim,
+                       polytope_dim, separating_cuts,
+                       separating_facet_defining_cuts, uncross)
 
 DEFAULT_TRIPLE_CAP = 10
 
@@ -45,15 +43,14 @@ class PropertyReport:
 
 def _p_dim(g: MultiGraph, cap: int) -> tuple[str, dict]:
     d = dim_by_rank(g)
-    b = brick_count(g)
-    formula = len(g.edges) - g.vertex_count + 1 - b
-    cert = {"rank_dim": d, "edges": len(g.edges), "vertices": g.vertex_count,
-            "bricks": b, "formula_dim": formula}
-    return ("pass" if d == formula else "fail"), cert
+    b = brick_count(g)  # raises TheoremFalsified unless b = |E| - |V| + 1 - d
+    return "pass", {"rank_dim": d, "edges": len(g.edges), "vertices": g.vertex_count,
+                    "bricks": b, "formula_dim": len(g.edges) - g.vertex_count + 1 - b}
 
 
 def _p_uncross(g: MultiGraph, cap: int) -> tuple[str, dict]:
     cuts = separating_cuts(g, cap)
+    t = matching_table(g)
     checked = applicable = 0
     for i in range(len(cuts)):
         for j in range(i + 1, len(cuts)):
@@ -64,8 +61,8 @@ def _p_uncross(g: MultiGraph, cap: int) -> tuple[str, dict]:
             if not (x1 & x2 and x1 - x2 and x2 - x1 and shore_complement(g, x1 | x2)):
                 continue
             checked += 1
-            f12 = face_members(g, cuts[i].boundary) & face_members(g, cuts[j].boundary)
-            if not f12 or not face_covers_all_edges(g, f12):
+            f12 = cut_face(g, cuts[i].boundary) & cut_face(g, cuts[j].boundary)
+            if not f12 or not t.covers_all_edges(f12):
                 continue
             applicable += 1
             _, _, report = uncross(g, x1, x2)
@@ -78,18 +75,19 @@ def _p_uncross(g: MultiGraph, cap: int) -> tuple[str, dict]:
     return "pass", {"crossing_pairs": checked, "face_condition_pairs": applicable}
 
 
-def _face_of_face_exposed(g: MultiGraph, members: frozenset[int]) -> tuple[int, int]:
-    """Facets of the face: (count, edge-exposed count)."""
-    d0 = members_dim(g, members)
-    subs: set[frozenset[int]] = set()
-    edge_faces: set[frozenset[int]] = set()
+def _face_of_face_exposed(g: MultiGraph, face: int) -> tuple[int, int]:
+    """Facets of the face with mask ``face``: (count, edge-exposed count)."""
+    t = matching_table(g)
+    d0 = members_dim(g, face)
+    subs: set[int] = set()
+    edge_faces: set[int] = set()
     for eid in g.edge_ids:
-        sub = members & edge_face_members(g, eid)
+        sub = face & t.avoiding(eid)
         if members_dim(g, sub) == d0 - 1:
             subs.add(sub)
             edge_faces.add(sub)
     for shore in odd_shores(g):
-        sub = members & face_members(g, boundary(g, shore))
+        sub = face & t.face(t.cut_mask(shore))
         if members_dim(g, sub) == d0 - 1:
             subs.add(sub)
     return len(subs), sum(1 for s in subs if s in edge_faces)
@@ -102,7 +100,7 @@ def _p_bvncontract(g: MultiGraph, cap: int) -> tuple[str, dict]:
         if not (is_bvn(ks, cap)[0] and is_bvn(kc, cap)[0]):
             continue
         applicable += 1
-        total, exposed = _face_of_face_exposed(g, face_members(g, cut.boundary))
+        total, exposed = _face_of_face_exposed(g, cut_face(g, cut.boundary))
         if total != exposed:
             return "fail", {"shore": list(cut.shore), "facets": total,
                             "edge_exposed": exposed}
@@ -114,7 +112,7 @@ def _p_brickcount(g: MultiGraph, cap: int) -> tuple[str, dict]:
     b = brick_count(g)
     cuts = separating_cuts(g, cap)
     for cut in cuts:
-        codim = d - members_dim(g, face_members(g, cut.boundary))
+        codim = d - members_dim(g, cut_face(g, cut.boundary))
         ks, kc = cut_contractions(g, cut.shore_set)
         if brick_count(ks) + brick_count(kc) != b + codim:
             return "fail", {"shore": list(cut.shore), "codim": codim,
@@ -129,7 +127,7 @@ def _p_nearbrick(g: MultiGraph, cap: int) -> tuple[str, dict]:
     checked = 0
     for cut in separating_cuts(g, cap):
         checked += 1
-        fdi = members_dim(g, face_members(g, cut.boundary)) == d - 1
+        fdi = members_dim(g, cut_face(g, cut.boundary)) == d - 1
         ks, kc = cut_contractions(g, cut.shore_set)
         both_nb = brick_count(ks) == 1 and brick_count(kc) == 1
         if fdi != both_nb:
@@ -154,6 +152,7 @@ def _p_fdilift(g: MultiGraph, cap: int) -> tuple[str, dict]:
         return "pass", {"vacuous": "not a near-brick"}
     check_cap(g, cap)
     d = polytope_dim(g)
+    t = matching_table(g)
     lifted = 0
     for cut in (make_cut(g, shore) for shore in tight_shores(g)):
         for x in (cut.shore_set, shore_complement(g, cut.shore_set)):
@@ -169,8 +168,7 @@ def _p_fdilift(g: MultiGraph, cap: int) -> tuple[str, dict]:
                     side = set(range(keep_x.vertex_count)) - side
                 y = frozenset(back[v] for v in side)
                 lifted += 1
-                mem = face_members(g, boundary(g, y))
-                ok = (members_dim(g, mem) == d - 1
+                ok = (members_dim(g, t.face(t.cut_mask(y))) == d - 1
                       and is_separating(g, tuple(sorted(y))))
                 if not ok:
                     return "fail", {"tight_shore": list(cut.shore),
@@ -196,9 +194,9 @@ def _bipartite_middle(g: MultiGraph, small: frozenset[int], big: frozenset[int])
 def _p_equiv(g: MultiGraph, cap: int) -> tuple[str, dict]:
     if not is_near_brick(g):
         return "pass", {"vacuous": "not a near-brick"}
-    groups: dict[frozenset[int], list] = {}
+    groups: dict[int, list] = {}
     for cut in separating_facet_defining_cuts(g, cap):
-        groups.setdefault(face_members(g, cut.boundary), []).append(cut)
+        groups.setdefault(cut_face(g, cut.boundary), []).append(cut)
     pairs = nested = 0
     for cuts in groups.values():
         for i in range(len(cuts)):
@@ -289,13 +287,13 @@ def _p_lemma(g: MultiGraph, cap: int) -> tuple[str, dict]:
         return "pass", {"branch": "petersen", "vertices": g.vertex_count}
     if is_bvn(g, cap)[0]:
         return "pass", {"branch": "bvn", "vertices": g.vertex_count}
-    ms = enumerate_perfect_matchings(g)
+    t = matching_table(g)
     for cut in separating_facet_defining_cuts(g, cap):
-        for m in ms:
-            if len(m.edge_ids & cut.boundary) == 3:
-                return "pass", {"branch": "three_intersection",
-                                "shore": list(cut.shore),
-                                "matching": sorted(m.edge_ids)}
+        m = t.three_crossing(t.edge_mask(cut.boundary))
+        if m is not None:
+            return "pass", {"branch": "three_intersection",
+                            "shore": list(cut.shore),
+                            "matching": sorted(m.edge_ids)}
     return "fail", {"reason": "trichotomy exhausted with no 3-intersecting pair"}
 
 
@@ -310,17 +308,15 @@ def _p_lemma_count(g: MultiGraph, cap: int) -> tuple[str, dict]:
     f, t, e = len(facets), len(codim2), len(g.edges)
     # every codim-2 face lies in exactly two facets
     for face in codim2:
-        owners = sum(1 for fc in facets if face.member_matchings <= fc.member_matchings)
+        owners = sum(1 for fc in facets if not face.mask & ~fc.mask)
         if owners != 2:
             return "fail", {"reason": "codim-2 face not in exactly two facets",
-                            "members": sorted(face.member_matchings), "owners": owners}
+                            "members": list(face.key()), "owners": owners}
     adjacency = []
     for fc in facets:
         adjacency.append(sum(
             1 for other in facets if other is not fc
-            and any(face.member_matchings <= fc.member_matchings
-                    and face.member_matchings <= other.member_matchings
-                    for face in codim2)))
+            and any(not face.mask & ~(fc.mask & other.mask) for face in codim2)))
     cert = {"edges": e, "t": t, "f": f, "d": d,
             "min_facet_adjacency": min(adjacency) if adjacency else 0}
     if f < d + 1 or 2 * t < f * d or (adjacency and min(adjacency) < d):

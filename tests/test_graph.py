@@ -16,7 +16,7 @@ from pmlattice.errors import PreconditionViolated
 from pmlattice.graph import (GRAPHS_KEPT, MultiGraph, boundary,
                              components_minus, contract_shore,
                              cut_contractions, five_cycles, girth,
-                             graph_isomorphic, is_bipartite, is_petersen,
+                             is_bipartite, is_petersen,
                              make_cut, odd_shores, per_graph, petersen_graph,
                              simplify)
 from pmlattice.matchings import PerfectMatching, enumerate_perfect_matchings
@@ -118,28 +118,20 @@ def test_is_petersen(corpus):
 
 
 def test_is_petersen_agrees_with_full_isomorphism(corpus):
-    # the invariant filter must never disagree with the backtracking oracle
-    # on ten-vertex inputs
-    candidates = [corpus["petersen"], corpus["petersen-parallel"],
-                  petersen_graph()]
+    # the invariant filter must never disagree with a full isomorphism
+    # test on ten-vertex inputs
+    relabel = {v: (3 * v + 1) % 10 for v in range(10)}
+    candidates = [corpus["petersen"], corpus["petersen-parallel"], petersen_graph(),
+                  MultiGraph.from_pairs(10, tuple((relabel[u], relabel[v])
+                                                  for _, u, v in petersen_graph().edges))]
     c10 = MultiGraph.from_pairs(10, tuple((i, (i + 1) % 10) for i in range(10)))
     mobius = MultiGraph.from_pairs(
         10, tuple((i, (i + 1) % 10) for i in range(10)) + tuple((i, i + 5) for i in range(5)))
     candidates += [c10, mobius]
-    target = petersen_graph()
     for g in candidates:
         simple = simplify(g)[0]
-        assert is_petersen(g) == graph_isomorphic(simple, target)
         other = nx.Graph((u, v) for _, u, v in simple.edges)
         assert is_petersen(g) == nx.is_isomorphic(other, nx.petersen_graph())
-
-
-def test_graph_isomorphic_examples(corpus):
-    g = petersen_graph()
-    relabel = {v: (3 * v + 1) % 10 for v in range(10)}
-    h = MultiGraph.from_pairs(10, tuple((relabel[u], relabel[v]) for _, u, v in g.edges))
-    assert graph_isomorphic(g, h)
-    assert not graph_isomorphic(corpus["prism"], corpus["k33"])
 
 
 def _oracle_five_cycle_count(g: MultiGraph) -> int:

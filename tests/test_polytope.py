@@ -9,10 +9,10 @@ from pmlattice.graph import (MultiGraph, boundary, cut_contractions, make_cut,
 from pmlattice.matchings import (enumerate_perfect_matchings,
                                  incidence_vectors, matching_covered,
                                  matching_table)
-from pmlattice.polytope import (classify_cut, cuts_equivalent,
+from pmlattice.polytope import (Face, classify_cut, cut_face, cuts_equivalent,
                                 enumerate_codim2_faces, enumerate_facets,
-                                face_covers_all_edges, face_members, is_bvn,
-                                is_separating, polytope_dim, uncross)
+                                is_bvn, is_separating, members_dim,
+                                polytope_dim, uncross)
 
 from conftest import brute_force_matchings, oracle_affine_dim, oracle_odd_faces
 
@@ -61,9 +61,10 @@ def test_separating_definitions_agree(corpus):
     # odd shore of every small corpus graph
     for name in ("k4", "c6", "k33", "cube", "prism", "double-prism", "petersen"):
         g = corpus[name]
+        table = matching_table(g)
         for shore in odd_shores(g):
-            members = face_members(g, boundary(g, shore))
-            by_face = bool(members) and face_covers_all_edges(g, members)
+            face = cut_face(g, boundary(g, shore))
+            by_face = bool(face) and table.covers_all_edges(face)
             ks, kc = cut_contractions(g, shore)
             by_contraction = matching_covered(ks) and matching_covered(kc)
             assert by_face == by_contraction == is_separating(g, shore), (name, shore)
@@ -71,14 +72,19 @@ def test_separating_definitions_agree(corpus):
 
 def _assert_faces_match_oracle(g: MultiGraph) -> None:
     table = matching_table(g)
+    assert list(table.vectors) == incidence_vectors(g, table.matchings)
+    brute = brute_force_matchings(g)
     for shore, (members, covers) in oracle_odd_faces(g).items():
+        cut = boundary(g, shore)
+        three = table.three_crossing(table.cut_mask(shore))
+        assert (None if three is None else three.edge_ids) == next(
+            (m for m in brute if len(m & cut) == 3), None), shore
         face = table.face(table.cut_mask(shore))
         assert table.shore_face(sum(1 << v for v in shore)) == face, shore
-        indices = table.members(face)
-        assert [table.matchings[i].edge_ids for i in sorted(indices)] == members, shore
+        indices = [i for i in range(len(table.matchings)) if face >> i & 1]
+        assert [table.matchings[i].edge_ids for i in indices] == members, shore
         assert table.covers_all_edges(face) == covers, shore
-        assert face_members(g, boundary(g, shore)) == indices, shore
-        assert face_covers_all_edges(g, indices) == covers, shore
+        assert cut_face(g, boundary(g, shore)) == face, shore
 
 
 def test_table_faces_match_oracle_on_corpus(corpus):
@@ -101,6 +107,29 @@ def _random_graphs_with_doubled_edges(draw) -> MultiGraph:
 @given(_random_graphs_with_doubled_edges())
 def test_table_faces_match_oracle_on_random_graphs(g):
     _assert_faces_match_oracle(g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_random_graphs_with_doubled_edges(),
+       st.lists(st.integers(0, 2**64), min_size=1, max_size=6))
+def test_members_dim_matches_oracle_on_random_masks(g, draws):
+    rows = [[int(eid in m) for eid in g.edge_ids] for m in brute_force_matchings(g)]
+    for draw in draws + [0, -1]:
+        face = draw % (1 << len(rows))
+        want = oracle_affine_dim([r for i, r in enumerate(rows) if face >> i & 1])
+        assert members_dim(g, face) == want, face
+
+
+def test_face_readers_follow_the_mask(corpus):
+    assert Face(0b1011, 2).key() == (0, 1, 3)
+    assert Face(0b1011, 2).member_matchings == frozenset({0, 1, 3})
+    assert Face(0, -1).key() == ()
+    for name in ("k4", "prism", "petersen", "pete-c4-splice"):
+        g = corpus[name]
+        for f in enumerate_facets(g) + enumerate_codim2_faces(g):
+            assert sum(1 << i for i in f.member_matchings) == f.mask, name
+            assert f.key() == tuple(sorted(f.member_matchings)), name
+            assert members_dim(g, f.mask) == f.dim, name
 
 
 def test_tight_implies_separating_on_all_classified_cuts(corpus):
