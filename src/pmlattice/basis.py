@@ -12,13 +12,12 @@ debugging.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .decomposition import (brick_count, canonical_parity_cycle,
                             find_tight_cut, petersen_bricks, parity_sets,
-                            tight_shores)
+                            tight_cut_decomposition, tight_shores)
 from .errors import PreconditionViolated, TheoremFalsified
 from .graph import (Cut, MultiGraph, boundary, contract_shore,
                     cut_contractions, five_cycles, is_petersen, make_cut,
@@ -33,8 +32,7 @@ from .polytope import (DEFAULT_VERTEX_CAP, cut_face, cuts_equivalent,
                        separating_facet_defining_cuts)
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(NamedTuple):
     """An ordered list of matching incidence vectors forming a basis.
 
     ``kind`` records the strongest verified property: "linear" (a basis of
@@ -80,8 +78,7 @@ def pm_linear_basis(g: MultiGraph) -> Basis:
     return Basis(g, tuple(picked), "linear")
 
 
-@dataclass(frozen=True)
-class MergeContext:
+class MergeContext(NamedTuple):
     """Everything needed to transfer coefficients through a merge."""
 
     graph: MultiGraph
@@ -94,8 +91,7 @@ class MergeContext:
     elements: tuple[PerfectMatching, ...]  # the merged basis, in output order
 
 
-@dataclass(frozen=True)
-class MergeResult:
+class MergeResult(NamedTuple):
     basis: Basis
     zstar: int | None
     context: MergeContext
@@ -301,8 +297,6 @@ def near_brick_petersen_basis(g: MultiGraph, d5: Cut | Iterable[int]) -> tuple[P
     Built by climbing the decomposition tree from the Petersen leaf,
     merging with a pin on the five-crossing element at every tight cut.
     """
-    from .decomposition import tight_cut_decomposition
-
     require_matching_covered(g)
     d_edges = frozenset(d5.boundary) if isinstance(d5, Cut) else frozenset(d5)
     tree = tight_cut_decomposition(g)
@@ -351,8 +345,7 @@ def near_brick_petersen_basis(g: MultiGraph, d5: Cut | Iterable[int]) -> tuple[P
 # --- the 3-intersection search ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntersectionPair:
+class IntersectionPair(NamedTuple):
     matching: PerfectMatching
     cut: Cut
 
@@ -607,8 +600,7 @@ def lattice_basis(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) \
     return Basis(g, elements, "lattice"), tuple(psets)
 
 
-@dataclass(frozen=True)
-class LatticeCharacterization:
+class LatticeCharacterization(NamedTuple):
     """Outcome of comparing L(G) with the parity-constrained saturation."""
 
     matching_count: int

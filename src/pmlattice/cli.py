@@ -15,21 +15,15 @@ import sys
 import time
 
 from . import __version__
-from .basis import (characterize_lattice, find_intersection_pair,
-                    integral_basis, lattice_basis, matching_lattice,
-                    matching_saturation)
 from .corpus import (CORPUS_NAMES, corpus_graph, dump_graph_file,
                      parse_graph_file, random_matching_covered)
-from .decomposition import brick_count, is_near_brick, tight_cut_decomposition
 from .errors import (PmLatticeError, PreconditionViolated, TheoremFalsified,
                      VertexCapExceeded)
 from .graph import MultiGraph
-from .linalg import lattice_index
 from .matchings import count_perfect_matchings, enumerate_perfect_matchings
-from .polytope import (DEFAULT_VERTEX_CAP, classify_all_cuts,
+from .polytope import (DEFAULT_TRIPLE_CAP, DEFAULT_VERTEX_CAP, classify_all_cuts,
                        enumerate_codim2_faces, enumerate_facets, is_bvn,
                        polytope_dim)
-from .verifier import DEFAULT_TRIPLE_CAP, verify_all, verify_property
 
 SCHEMA = "pmlattice-report/1"
 
@@ -83,18 +77,18 @@ def _cmd_pm(args, g: MultiGraph) -> dict:
 
 
 def _cmd_polytope(args, g: MultiGraph) -> dict:
-    cap = args.max_vertices
     if args.action == "dim":
+        from .decomposition import brick_count
         return {"dim": polytope_dim(g), "edges": len(g.edges),
                 "vertices": g.vertex_count, "bricks": brick_count(g)}
     if args.action == "facets":
-        facets = enumerate_facets(g, cap)
+        facets = enumerate_facets(g, args.max_vertices)
         return {"dim": polytope_dim(g), "facet_count": len(facets),
                 "facets": [{"members": sorted(f.member_matchings),
                             "exposing_edges": list(f.exposed_by_edges),
                             "exposing_cut_shores": [_shore(c) for c in f.exposed_by_cuts]}
                            for f in facets]}
-    faces = enumerate_codim2_faces(g, cap)
+    faces = enumerate_codim2_faces(g, args.max_vertices)
     return {"dim": polytope_dim(g), "count": len(faces),
             "all_edge_exposed": all(f.exposed_by_edges for f in faces),
             "faces": [{"members": sorted(f.member_matchings),
@@ -125,6 +119,7 @@ def _tree_payload(node) -> dict:
 
 
 def _cmd_decompose(args, g: MultiGraph) -> dict:
+    from .decomposition import brick_count, is_near_brick, tight_cut_decomposition
     tree = tight_cut_decomposition(g, seed=args.seed)
     leaves = tree.leaves()
     return {"brick_count": brick_count(g), "near_brick": is_near_brick(g),
@@ -140,6 +135,7 @@ def _cmd_bvn(args, g: MultiGraph) -> dict:
 
 
 def _cmd_intersect(args, g: MultiGraph) -> dict:
+    from .basis import find_intersection_pair
     pair = find_intersection_pair(g, args.max_vertices)
     return {"matching": _matching_payload(pair.matching),
             "cut_shore": _shore(pair.cut),
@@ -148,24 +144,26 @@ def _cmd_intersect(args, g: MultiGraph) -> dict:
 
 
 def _cmd_basis(args, g: MultiGraph) -> dict:
+    from .basis import integral_basis, lattice_basis, matching_lattice, matching_saturation
+    from .linalg import lattice_index
     if args.action == "integral":
-        b = integral_basis(g, args.max_vertices)
-        return {"kind": b.kind, "size": len(b.elements),
-                "matchings": [_matching_payload(m) for m in b.elements],
-                "verified": True}
-    b, psets = lattice_basis(g, args.max_vertices)
-    index = lattice_index(matching_lattice(g), matching_saturation(g))
+        b, lattice_fields = integral_basis(g, args.max_vertices), {}
+    else:
+        b, psets = lattice_basis(g, args.max_vertices)
+        index = lattice_index(matching_lattice(g), matching_saturation(g))
+        lattice_fields = {"parity_sets": [sorted(a) for a in psets], "saturation_index": int(index)}
     return {"kind": b.kind, "size": len(b.elements),
             "matchings": [_matching_payload(m) for m in b.elements],
-            "parity_sets": [sorted(a) for a in psets],
-            "saturation_index": int(index), "verified": True}
+            **lattice_fields, "verified": True}
 
 
 def _cmd_characterize(args, g: MultiGraph) -> dict:
+    from .basis import characterize_lattice
     return characterize_lattice(g).to_payload()
 
 
 def _cmd_verify(args, g: MultiGraph, name: str) -> tuple[dict, int]:
+    from .verifier import verify_all, verify_property
     pid = args.property or args.property_id or "all"
     if pid == "all":
         reports = verify_all(g, name, args.max_vertices, args.triple_cap)
@@ -176,6 +174,11 @@ def _cmd_verify(args, g: MultiGraph, name: str) -> tuple[dict, int]:
     payload = {"properties": [r.to_payload() for r in reports],
                "failures": failures, "skipped": skipped}
     return payload, (1 if failures else 0)
+
+
+_HANDLERS = {"pm": _cmd_pm, "polytope": _cmd_polytope, "cuts": _cmd_cuts,
+             "decompose": _cmd_decompose, "bvn": _cmd_bvn, "intersect": _cmd_intersect,
+             "basis": _cmd_basis, "characterize": _cmd_characterize}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,26 +273,10 @@ def _run(args, started: float, name: str | None, g: MultiGraph | None) -> tuple[
         name, g = random_matching_covered(args.seed, args.vertices, args.matchings)
         return dump_graph_file(name, g), 0
 
-    if args.command == "pm":
-        return finish(name, "ok", _cmd_pm(args, g), 0)
-    if args.command == "polytope":
-        return finish(name, "ok", _cmd_polytope(args, g), 0)
-    if args.command == "cuts":
-        return finish(name, "ok", _cmd_cuts(args, g), 0)
-    if args.command == "decompose":
-        return finish(name, "ok", _cmd_decompose(args, g), 0)
-    if args.command == "bvn":
-        return finish(name, "ok", _cmd_bvn(args, g), 0)
-    if args.command == "intersect":
-        return finish(name, "ok", _cmd_intersect(args, g), 0)
-    if args.command == "basis":
-        return finish(name, "ok", _cmd_basis(args, g), 0)
-    if args.command == "characterize":
-        return finish(name, "ok", _cmd_characterize(args, g), 0)
     if args.command == "verify":
         payload, code = _cmd_verify(args, g, name)
         return finish(name, "fail" if code else "ok", payload, code)
-    raise PreconditionViolated("usage", f"unknown command {args.command!r}")
+    return finish(name, "ok", _HANDLERS[args.command](args, g), 0)
 
 
 def main(argv: list[str] | None = None) -> int:

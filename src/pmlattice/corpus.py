@@ -11,6 +11,7 @@ import json
 import random
 
 from .graph import PETERSEN_PAIRS, MultiGraph
+from .matchings import matching_covered
 
 Pairs = tuple[tuple[int, int], ...]
 
@@ -85,8 +86,6 @@ def random_matching_covered(seed: int, vertices: int, extra_matchings: int = 3) 
     set), and keeps the result iff it is matching-covered; failed attempts
     reseed deterministically.
     """
-    from .matchings import matching_covered
-
     if vertices < 2 or vertices % 2:
         raise ValueError("vertex count must be even and at least 2")
     rng = random.Random(seed)

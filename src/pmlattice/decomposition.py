@@ -8,7 +8,7 @@ edge sets found in a leaf (such as Petersen 5-cycles) need no lifting.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PreconditionViolated, TheoremFalsified
 from .graph import (Cut, MultiGraph, components_minus, contract_shore,
@@ -19,8 +19,7 @@ from .matchings import matching_table, require_matching_covered
 from .polytope import cut_face, dim_by_rank
 
 
-@dataclass(frozen=True)
-class DecompTree:
+class DecompTree(NamedTuple):
     """Binary tight-cut decomposition tree rooted at a graph.
 
     Internal nodes carry the tight cut used; leaves carry a label in

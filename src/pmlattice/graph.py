@@ -4,7 +4,8 @@ every memoized result of the package (:func:`per_graph`).
 
 Edge identity is the primary key everywhere.  Contraction never renumbers
 surviving edges, which is what lets vectors indexed by edge id be composed
-across cut-contractions later on.
+across cut-contractions later on.  The package's records, ``Cut`` first, are
+``typing.NamedTuple``s with tuple semantics; ``MultiGraph`` validates its input.
 """
 
 from __future__ import annotations
@@ -12,15 +13,13 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import PreconditionViolated
 
 Edge = tuple[int, int, int]  # (edge_id, u, v)
 
 
-@dataclass(frozen=True)
 class MultiGraph:
     """Undirected multigraph on vertices ``0..vertex_count-1``.
 
@@ -29,26 +28,42 @@ class MultiGraph:
     can be memoized.
     """
 
-    vertex_count: int
-    edges: tuple[Edge, ...]
+    __slots__ = ("vertex_count", "edges", "_hash")
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
+    def __init__(self, vertex_count: int, edges: tuple[Edge, ...]):
+        if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
         seen: set[int] = set()
-        for eid, u, v in self.edges:
+        for eid, u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop on vertex {u} (edge {eid})")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge {eid} endpoint out of range")
             if eid in seen:
                 raise ValueError(f"duplicate edge id {eid}")
             seen.add(eid)
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
         # every memo lookup hashes the graph, so the edge tuple is hashed once
-        object.__setattr__(self, "_hash", hash((self.vertex_count, self.edges)))
+        object.__setattr__(self, "_hash", hash((vertex_count, edges)))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return MultiGraph, (self.vertex_count, self.edges)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ \
+            and self.vertex_count == other.vertex_count and self.edges == other.edges
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"MultiGraph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
 
     @staticmethod
     def from_pairs(vertex_count: int, pairs: Iterable[tuple[int, int]]) -> "MultiGraph":
@@ -58,12 +73,6 @@ class MultiGraph:
     @property
     def edge_ids(self) -> tuple[int, ...]:
         return tuple(e[0] for e in self.edges)
-
-    def edge_by_id(self, eid: int) -> Edge:
-        for e in self.edges:
-            if e[0] == eid:
-                return e
-        raise KeyError(f"no edge with id {eid}")
 
     def endpoints(self) -> dict[int, tuple[int, int]]:
         return {eid: (u, v) for eid, u, v in self.edges}
@@ -138,8 +147,7 @@ def boundary(g: MultiGraph, vertices: Iterable[int]) -> frozenset[int]:
     return frozenset(eid for eid, u, v in g.edges if (u in vs) != (v in vs))
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(NamedTuple):
     """An edge cut delta(X) with its canonical shore.
 
     The stored shore is the lexicographically smaller of X and its
@@ -153,9 +161,6 @@ class Cut:
     @property
     def shore_set(self) -> frozenset[int]:
         return frozenset(self.shore)
-
-    def is_odd(self) -> bool:
-        return len(self.shore) % 2 == 1
 
 
 def make_cut(g: MultiGraph, vertices: Iterable[int]) -> Cut:

@@ -11,11 +11,12 @@ entries above a pivot reduced into ``[0, pivot)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Row = Sequence[int]
 
@@ -149,24 +150,39 @@ def _hnf_rows(m: Sequence[Row], transform: bool = False) -> tuple[list[list[int]
     return rows[:r] + [[0] * width for _ in range(nrows - r)], u
 
 
-@dataclass(frozen=True)
 class Lattice:
     """Integer lattice given by a full-row-rank basis in canonical row HNF."""
 
-    ambient_dim: int
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = ("ambient_dim", "basis")
 
-    def __post_init__(self):
-        for row in self.basis:
-            if len(row) != self.ambient_dim:
+    def __init__(self, ambient_dim: int, basis: tuple[tuple[int, ...], ...]):
+        for row in basis:
+            if len(row) != ambient_dim:
                 raise ValueError("basis row length != ambient dimension")
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", basis)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return Lattice, (self.ambient_dim, self.basis)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ \
+            and self.ambient_dim == other.ambient_dim and self.basis == other.basis
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.basis))
+
+    def __repr__(self) -> str:
+        return f"Lattice(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
 
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
 
 
 def hnf(m: Sequence[Row], ambient_dim: int | None = None) -> Lattice:

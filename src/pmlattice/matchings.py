@@ -21,20 +21,19 @@ verdict are kept in the graph's memo (``graph.per_graph``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import PreconditionViolated, TheoremFalsified
 from .graph import Cut, MultiGraph, cut_contractions, is_connected, per_graph
 
 
-@dataclass(frozen=True)
-class PerfectMatching:
-    """A perfect matching as a set of edge ids.
+class PerfectMatching(NamedTuple):
+    """A perfect matching as a set of edge ids; ``eid in m`` tests one edge.
 
-    The sorted id tuple doubles as the canonical sort key; ``incidence_on``
-    gives the row of a matching outside the graph's ``MatchingTable``,
-    such as a merged basis element.
+    The sorted id tuple is the canonical sort key; sort with ``key=`` always,
+    since tuple order would compare the frozensets by subset.  ``incidence_on``
+    gives the row of a matching outside the graph's ``MatchingTable``, such as
+    a merged basis element.
     """
 
     edge_ids: frozenset[int]
@@ -95,8 +94,7 @@ def enumerate_perfect_matchings(g: MultiGraph) -> tuple[PerfectMatching, ...]:
     return tuple(matchings)
 
 
-@dataclass(frozen=True)
-class MatchingTable:
+class MatchingTable(NamedTuple):
     """The perfect matchings of one graph as bitmasks and incidence rows;
     every face query is answered from it.
 

@@ -15,8 +15,7 @@ odd cuts whose face is a facet goes through ``_facet_shores``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PreconditionViolated, TheoremFalsified, VertexCapExceeded
 from .graph import (Cut, MultiGraph, boundary, cut_contractions, make_cut,
@@ -26,6 +25,7 @@ from .matchings import (matching_covered, matching_table,
                         require_matching_covered)
 
 DEFAULT_VERTEX_CAP = 16
+DEFAULT_TRIPLE_CAP = 10  # P-TRIPLE's nested-triple exhaustion (verifier)
 
 
 def check_cap(g: MultiGraph, max_vertices: int) -> None:
@@ -33,8 +33,7 @@ def check_cap(g: MultiGraph, max_vertices: int) -> None:
         raise VertexCapExceeded(g.vertex_count, max_vertices)
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A face of P(G) as the mask of the matchings lying on it.
 
     ``dim`` is the exact affine dimension (-1 for the empty face);
@@ -56,8 +55,7 @@ class Face:
         return frozenset(self.key())
 
 
-@dataclass(frozen=True)
-class CutClass:
+class CutClass(NamedTuple):
     cut: Cut
     is_tight: bool
     is_separating: bool
@@ -231,8 +229,7 @@ def cuts_equivalent(g: MultiGraph, c1: Cut, c2: Cut) -> bool:
     return all((m & b1).bit_count() == (m & b2).bit_count() for m in t.masks)
 
 
-@dataclass(frozen=True)
-class UncrossReport:
+class UncrossReport(NamedTuple):
     no_edge_between_differences: bool
     identity_holds: bool
     violating_matchings: tuple[int, ...]

@@ -8,8 +8,8 @@ concrete witness so a red property doubles as a refutation certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .decomposition import (barrier_of_tight_cut, brick_count,
                             find_tight_cut, is_near_brick, parity_sets,
@@ -20,17 +20,14 @@ from .graph import (MultiGraph, contract_shore, cut_contractions,
                     shore_complement, shore_index_map)
 from .linalg import lattice_member
 from .matchings import matching_covered, matching_table
-from .polytope import (DEFAULT_VERTEX_CAP, check_cap, cut_face,
-                       cuts_equivalent, dim_by_rank, enumerate_codim2_faces,
+from .polytope import (DEFAULT_TRIPLE_CAP, DEFAULT_VERTEX_CAP, check_cap,
+                       cut_face, cuts_equivalent, dim_by_rank, enumerate_codim2_faces,
                        enumerate_facets, is_bvn, is_separating, members_dim,
                        polytope_dim, separating_cuts,
                        separating_facet_defining_cuts, uncross)
 
-DEFAULT_TRIPLE_CAP = 10
 
-
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     property_id: str
     graph_name: str
     status: str  # "pass" | "fail" | "skipped"

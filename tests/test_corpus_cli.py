@@ -1,7 +1,13 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pmlattice
 from pmlattice.cli import main
 from pmlattice.corpus import (CORPUS_NAMES, corpus_graph, dump_graph_file,
                               parse_graph_file, random_matching_covered)
@@ -243,3 +249,56 @@ def test_cli_timing_flag(tmp_path, capsys):
     code, out = _run(["pm", "count", "--input", str(path), "--timing"], capsys)
     assert code == 0
     assert isinstance(json.loads(out)["timing_ms"], float)
+
+
+GRAPH_COMMANDS = (
+    ["pm", "count"], ["pm", "list"], ["polytope", "dim"], ["polytope", "facets"],
+    ["polytope", "codim2"], ["cuts", "classify"], ["cuts", "tight"], ["cuts", "separating"],
+    ["cuts", "facet"], ["decompose"], ["bvn"], ["intersect"], ["basis", "integral"],
+    ["basis", "lattice"], ["characterize"], ["verify", "all"],
+)
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python3 *args`` in a new interpreter with this package importable."""
+    src = str(Path(pmlattice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_cli_fresh_process_matches_in_process(tmp_path, capsys):
+    """Every graph command works in a new interpreter, where only the
+    modules the command imports itself are loaded (this test session has
+    loaded them all), and prints the in-process report."""
+    path = tmp_path / "k4.json"
+    path.write_text(dump_graph_file("k4", corpus_graph("k4")))
+    for command in GRAPH_COMMANDS:
+        argv = command + ["--input", str(path)]
+        code, out = _run(argv, capsys)
+        proc = _fresh_python("-m", "pmlattice.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, ""), command
+
+
+def test_cli_import_loads_no_unused_module():
+    """``import pmlattice`` loads no submodule, and ``import pmlattice.cli``
+    loads none of the modules that only some commands use, counted against
+    what the interpreter loads before the first import."""
+    proc = _fresh_python("-c", "import sys; base = set(sys.modules); import pmlattice; "
+                               "pkg = set(sys.modules); import pmlattice.cli; "
+                               "print(sorted(pkg - base)); print(sorted(set(sys.modules) - base))")
+    assert proc.returncode == 0, proc.stderr
+    after_package, after_cli = map(ast.literal_eval, proc.stdout.splitlines())
+    assert [m for m in after_package if m.startswith("pmlattice.")] == []
+    assert "pmlattice.cli" in after_cli
+    unused = {"dataclasses", "inspect", "fractions", "pmlattice.basis",
+              "pmlattice.decomposition", "pmlattice.verifier"}
+    assert unused & set(after_cli) == set()
+
+
+def test_cli_verify_help_reads_the_triple_cap(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--triple-cap TRIPLE_CAP vertex cap for the nested-triple exhaustion (default 10)" in text

@@ -32,6 +32,8 @@ def test_construction_rejects_self_loops_and_duplicate_ids():
         MultiGraph(3, ((0, 0, 1), (0, 1, 2)))
     with pytest.raises(ValueError):
         MultiGraph(2, ((0, 0, 5),))
+    with pytest.raises(ValueError):
+        MultiGraph(-1, ())
 
 
 def test_contract_petersen_five_cycle(corpus):
@@ -335,3 +337,21 @@ def test_only_the_memo_root_uses_lru_cache():
                 if name in ("lru_cache", "cache"):
                     decorated.append(f"{path.stem}.{node.name}")
     assert decorated == ["graph._memo"]
+
+
+def test_no_module_imports_dataclasses():
+    """Records are NamedTuples or small slotted classes: importing
+    ``dataclasses`` (and ``inspect`` with it) costs every CLI process
+    about 12 ms of start-up."""
+    importers = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "pmlattice").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                importers.append(path.stem)
+    assert importers == []
