@@ -1,26 +1,27 @@
 """Command-line interface: graph analysis commands with JSON reports.
 
 Reports are byte-deterministic for a fixed input and tool version, so
-``timing_ms`` stays null unless --timing is passed.  Exit codes: 0 for
-success / all-pass, 1 for a property failure or falsified claim, 2 for
-usage, parse, or precondition errors.
+``timing_ms`` stays null unless --timing is passed.  ``corpus.write_json``
+streams every report as ``json.dumps(report, indent=2)`` would write it;
+``pm list`` decodes its matchings while they are written.  Exit codes: 0 for success /
+all-pass, 1 for a property failure or falsified claim, 2 for usage, parse,
+or precondition errors, an unwritable --output or a closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 
 from . import __version__
-from .corpus import (CORPUS_NAMES, corpus_graph, dump_graph_file,
-                     parse_graph_file, random_matching_covered)
+from .corpus import (CORPUS_NAMES, corpus_graph, graph_to_file_dict,
+                     parse_graph_file, random_matching_covered, write_json)
 from .errors import (PmLatticeError, PreconditionViolated, TheoremFalsified,
                      VertexCapExceeded)
 from .graph import MultiGraph
-from .matchings import count_perfect_matchings, enumerate_perfect_matchings
+from .matchings import count_perfect_matchings, matching_edge_ids, matching_masks
 from .polytope import (DEFAULT_TRIPLE_CAP, DEFAULT_VERTEX_CAP, classify_all_cuts,
                        enumerate_codim2_faces, enumerate_facets, is_bvn,
                        polytope_dim)
@@ -28,19 +29,26 @@ from .polytope import (DEFAULT_TRIPLE_CAP, DEFAULT_VERTEX_CAP, classify_all_cuts
 SCHEMA = "pmlattice-report/1"
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(doc: dict, output: str | None) -> None:
+    """Stream ``doc`` to stdout, or to ``output`` through a temp file removed on failure."""
     if output is None:
-        sys.stdout.write(text)
+        write_json(doc, sys.stdout.write)
+        print(flush=True)
         return
-    tmp = output + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, output)
+    fh = open(output + ".tmp", "w")
+    try:
+        with fh:
+            write_json(doc, fh.write)
+            fh.write("\n")
+        os.replace(fh.name, output)
+    except BaseException:
+        os.remove(fh.name)
+        raise
 
 
 def _report(command: str, graph_name: str | None, status: str, result: dict,
-            warnings: list[str], timing_ms: float | None) -> str:
-    doc = {
+            warnings: list[str], timing_ms: float | None) -> dict:
+    return {
         "schema": SCHEMA,
         "tool": "pmlattice",
         "version": __version__,
@@ -51,7 +59,6 @@ def _report(command: str, graph_name: str | None, status: str, result: dict,
         "warnings": warnings,
         "timing_ms": timing_ms,
     }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _load_graph(args) -> tuple[str, MultiGraph]:
@@ -65,15 +72,10 @@ def _shore(cut) -> list[int]:
     return list(cut.shore)
 
 
-def _matching_payload(m) -> list[int]:
-    return sorted(m.edge_ids)
-
-
 def _cmd_pm(args, g: MultiGraph) -> dict:
     if args.action == "count":
         return {"count": count_perfect_matchings(g)}
-    ms = enumerate_perfect_matchings(g)
-    return {"count": len(ms), "matchings": [_matching_payload(m) for m in ms]}
+    return {"count": len(matching_masks(g)), "matchings": matching_edge_ids(g)}
 
 
 def _cmd_polytope(args, g: MultiGraph) -> dict:
@@ -137,7 +139,7 @@ def _cmd_bvn(args, g: MultiGraph) -> dict:
 def _cmd_intersect(args, g: MultiGraph) -> dict:
     from .basis import find_intersection_pair
     pair = find_intersection_pair(g, args.max_vertices)
-    return {"matching": _matching_payload(pair.matching),
+    return {"matching": sorted(pair.matching.edge_ids),
             "cut_shore": _shore(pair.cut),
             "cut_boundary": sorted(pair.cut.boundary),
             "intersection": len(pair.matching.edge_ids & pair.cut.boundary)}
@@ -153,7 +155,7 @@ def _cmd_basis(args, g: MultiGraph) -> dict:
         index = lattice_index(matching_lattice(g), matching_saturation(g))
         lattice_fields = {"parity_sets": [sorted(a) for a in psets], "saturation_index": int(index)}
     return {"kind": b.kind, "size": len(b.elements),
-            "matchings": [_matching_payload(m) for m in b.elements],
+            "matchings": [sorted(m.edge_ids) for m in b.elements],
             **lattice_fields, "verified": True}
 
 
@@ -245,8 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _run(args, started: float, name: str | None, g: MultiGraph | None) -> tuple[str, int]:
-    command = args.command + (f" {getattr(args, 'action', '')}".rstrip())
+def _command_name(args) -> str:
+    return args.command + (f" {getattr(args, 'action', '')}".rstrip())
+
+
+def _error(command: str, exc: Exception) -> dict:
+    return _report(command, None, "error",
+                   {"error": type(exc).__name__, "message": str(exc)}, [], None)
+
+
+def _run(args) -> tuple[dict, int]:
+    """The report (or GraphFile) of a parsed command line, and its exit code."""
+    command, started = _command_name(args), time.monotonic()
     warnings: list[str] = []
     if getattr(args, "max_vertices", DEFAULT_VERTEX_CAP) > DEFAULT_VERTEX_CAP:
         warnings.append(f"vertex cap raised to {args.max_vertices}; "
@@ -256,60 +268,58 @@ def _run(args, started: float, name: str | None, g: MultiGraph | None) -> tuple[
         timing = round((time.monotonic() - started) * 1000.0, 3) if args.timing else None
         return _report(command, name, status, result, warnings, timing), code
 
-    if args.command == "corpus":
+    name = None
+    try:
+        if args.command != "corpus":
+            name, g = _load_graph(args)
+            if args.command == "verify":
+                payload, code = _cmd_verify(args, g, name)
+                return finish(name, "fail" if code else "ok", payload, code)
+            return finish(name, "ok", _HANDLERS[args.command](args, g), 0)
         if args.action == "list":
             return finish(None, "ok", {"names": list(CORPUS_NAMES)}, 0)
         if args.action == "emit":
             if not args.name or args.name not in CORPUS_NAMES:
                 raise PreconditionViolated("usage", f"corpus emit needs a name from: "
                                                     f"{', '.join(CORPUS_NAMES)}")
-            return dump_graph_file(args.name, corpus_graph(args.name)), 0
+            return graph_to_file_dict(args.name, corpus_graph(args.name)), 0
         if args.vertices is None or args.seed is None:
             raise PreconditionViolated("usage", "corpus random needs --seed and --vertices")
         if args.matchings < 0:
             raise PreconditionViolated("usage", "--matchings must be non-negative")
         if args.vertices > args.max_vertices:
             raise VertexCapExceeded(args.vertices, args.max_vertices)
-        name, g = random_matching_covered(args.seed, args.vertices, args.matchings)
-        return dump_graph_file(name, g), 0
-
-    if args.command == "verify":
-        payload, code = _cmd_verify(args, g, name)
-        return finish(name, "fail" if code else "ok", payload, code)
-    return finish(name, "ok", _HANDLERS[args.command](args, g), 0)
+        return graph_to_file_dict(*random_matching_covered(
+            args.seed, args.vertices, args.matchings)), 0
+    except TheoremFalsified as exc:
+        return _report(command, name, "fail",
+                       {"claim": exc.claim, "certificate": exc.certificate}, [], None), 1
+    except VertexCapExceeded as exc:
+        return _report(command, name, "error",
+                       {"error": "vertex_cap", "vertices": exc.vertices,
+                        "cap": exc.cap}, [], None), 2
+    except PreconditionViolated as exc:
+        # graph stays null until perfbench/expected.json, which pins the
+        # byte content of one precondition report, is regenerated
+        return _report(command, None, "error",
+                       {"error": "precondition", "reason": exc.reason,
+                        "message": str(exc)}, [], None), 2
+    except (PmLatticeError, ValueError, OSError) as exc:
+        return _error(command, exc), 2
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = args.command + (f" {getattr(args, 'action', '')}".rstrip())
-    started = time.monotonic()
-    name, g = None, None
+    args = build_parser().parse_args(argv)
+    doc, code = _run(args)
     try:
-        if args.command != "corpus":
-            name, g = _load_graph(args)
-        text, code = _run(args, started, name, g)
-    except TheoremFalsified as exc:
-        text = _report(command, name, "fail",
-                       {"claim": exc.claim, "certificate": exc.certificate}, [], None)
-        code = 1
-    except VertexCapExceeded as exc:
-        text = _report(command, name, "error",
-                       {"error": "vertex_cap", "vertices": exc.vertices,
-                        "cap": exc.cap}, [], None)
-        code = 2
-    except (PreconditionViolated,) as exc:
-        # graph stays null until perfbench/expected.json, which pins the
-        # byte content of one precondition report, is regenerated
-        text = _report(command, None, "error",
-                       {"error": "precondition", "reason": exc.reason,
-                        "message": str(exc)}, [], None)
-        code = 2
-    except (PmLatticeError, ValueError, OSError, json.JSONDecodeError) as exc:
-        text = _report(command, None, "error",
-                       {"error": type(exc).__name__, "message": str(exc)}, [], None)
-        code = 2
-    _emit(text, getattr(args, "output", None))
+        _emit(doc, args.output)
+    except OSError as exc:
+        if args.output is not None:  # the --output file could not be written
+            _emit(_error(_command_name(args), exc), None)
+            return 2
+        # stdout is closed or full, maybe mid-report: write no more, flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return code
 
 

@@ -1,4 +1,5 @@
-"""Bundled corpus graphs, the seeded random generator, and GraphFile JSON.
+"""Bundled corpus graphs, the seeded random generator, GraphFile JSON, and
+the streaming JSON writer that GraphFiles and CLI reports share.
 
 Edge ids are load-bearing (vectors are indexed by id and survive
 contraction), so the file format spells out one edge object per parallel
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii
 
 from .graph import PETERSEN_PAIRS, MultiGraph
 from .matchings import matching_covered
@@ -118,7 +121,45 @@ def graph_to_file_dict(name: str, g: MultiGraph) -> dict:
 
 
 def dump_graph_file(name: str, g: MultiGraph) -> str:
-    return json.dumps(graph_to_file_dict(name, g), indent=2) + "\n"
+    chunks: list[str] = []
+    write_json(graph_to_file_dict(name, g), chunks.append)
+    return "".join(chunks) + "\n"
+
+
+def _scalar(obj) -> str:
+    """JSON text of None, a bool, an int or a float, as ``json.dumps`` writes it."""
+    if obj is None or obj is True or obj is False:
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):  # non-finite as json.dumps spells them; no report has one today
+        text = float.__repr__(obj)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def write_json(obj, write, pad: str = "\n") -> None:
+    """Write ``obj`` (str dict keys only) as ``json.dumps(obj, indent=2)`` would,
+    in chunks; lists, tuples and iterators (consumed as written) become arrays."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        sep = "{" + inner
+        for key, value in obj.items():
+            write(sep + encode_basestring_ascii(key) + ": ")
+            write_json(value, write, inner)
+            sep = "," + inner
+        write("{}" if sep[0] == "{" else pad + "}")
+    elif isinstance(obj, (list, tuple)) and set(map(type, obj)) == {int}:
+        write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]")
+    elif isinstance(obj, (list, tuple, Iterator)):
+        sep = "[" + inner
+        for value in obj:
+            write(sep)
+            write_json(value, write, inner)
+            sep = "," + inner
+        write("[]" if sep[0] == "[" else pad + "]")
+    else:
+        write(encode_basestring_ascii(obj) if isinstance(obj, str) else _scalar(obj))
 
 
 def _is_json_int(x) -> bool:

@@ -3,8 +3,9 @@ table, matching-covered testing, matching surgery across cuts, and integer
 decomposition of points of kP.
 
 Enumeration is exhaustive backtracking over the least-index uncovered
-vertex, on an explicit stack; corpus graphs stay small enough that
-determinism beats asymptotics.  Counting walks the same search tree but
+vertex, on an explicit stack, into one int per matching
+(``matching_masks``); the matchings (and so the table), the matching-covered
+verdict and ``pm list`` decode those masks.  Counting walks the same search tree but
 merges its nodes by the set of uncovered vertices, so it never lists a
 matching and costs at most what enumeration costs (K16's 2,027,025
 matchings are counted through 1,597 vertex sets).
@@ -15,13 +16,13 @@ vertex, built once per graph.  A face is an int mask over matching
 indices; every face, dimension, crossing-count and cut-equivalence query
 in ``polytope``, ``decomposition``, ``verifier`` and ``basis`` reads the
 table, and ``PerfectMatching.incidence_on`` is left to bases made of
-merged matchings.  The matchings, the table and the matching-covered
+merged matchings.  The masks, matchings, table and matching-covered
 verdict are kept in the graph's memo (``graph.per_graph``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import PreconditionViolated, TheoremFalsified
 from .graph import Cut, MultiGraph, cut_contractions, is_connected, per_graph
@@ -53,45 +54,63 @@ def incidence_vectors(g: MultiGraph, matchings: Iterable[PerfectMatching]) -> li
 
 
 @per_graph
-def enumerate_perfect_matchings(g: MultiGraph) -> tuple[PerfectMatching, ...]:
-    """All perfect matchings, ordered lexicographically by sorted id tuple.
+def matching_masks(g: MultiGraph) -> tuple[int, ...]:
+    """Every perfect matching as an int whose bit m-1-r is the edge of the
+    r-th smallest id, so canonical order is descending int order.
 
     Depth-first: the least uncovered vertex is matched to each uncovered
-    neighbour in turn, once per parallel edge.  The search keeps an
-    explicit stack of frames (uncovered vertices left as a bitmask, and
-    the untried edges of the vertex being matched), so no recursion
-    depth limit applies; ``chosen`` holds one edge per frame but the first.
+    neighbour in turn, once per parallel edge, on an explicit stack of
+    frames (uncovered vertices, chosen edges, untried edges of the vertex
+    being matched), so no recursion depth limit applies.
     """
     n = g.vertex_count
     if n % 2:
         return ()
     if n == 0:
-        return (PerfectMatching(frozenset()),)
-    stars = [[(eid, 1 << w) for eid, w in row] for row in g.adjacency()]
-    found: list[frozenset[int]] = []
-    chosen: list[int] = []
-    stack = [(((1 << n) - 1) ^ 1, iter(stars[0]))]
+        return (0,)
+    bit = {eid: 1 << b for b, eid in enumerate(_edge_ids_by_bit(g))}
+    stars = [[(bit[eid], 1 << w) for eid, w in row] for row in g.adjacency()]
+    found: list[int] = []
+    stack = [(((1 << n) - 1) ^ 1, 0, iter(stars[0]))]
     while stack:
-        rest, untried = stack[-1]
-        for eid, bit in untried:
-            if rest & bit:
+        rest, chosen, untried = stack[-1]
+        for ebit, vbit in untried:
+            if rest & vbit:
                 break
         else:
             stack.pop()
-            if chosen:
-                chosen.pop()
             continue
-        chosen.append(eid)
-        left = rest ^ bit
+        left = rest ^ vbit
         if left:
             low = left & -left
-            stack.append((left ^ low, iter(stars[low.bit_length() - 1])))
+            stack.append((left ^ low, chosen | ebit, iter(stars[low.bit_length() - 1])))
         else:
-            found.append(frozenset(chosen))
-            chosen.pop()
-    matchings = [PerfectMatching(s) for s in found]
-    matchings.sort(key=PerfectMatching.key)
-    return tuple(matchings)
+            found.append(chosen | ebit)
+    found.sort(reverse=True)
+    return tuple(found)
+
+
+def _edge_ids_by_bit(g: MultiGraph) -> list[int]:
+    """Entry b is the edge id of bit b of a ``matching_masks`` mask."""
+    return sorted(g.edge_ids, reverse=True)
+
+
+def matching_edge_ids(g: MultiGraph) -> Iterator[list[int]]:
+    """Each matching's sorted edge ids in canonical order, decoded lazily."""
+    by_bit = _edge_ids_by_bit(g)
+    for mask in matching_masks(g):
+        ids = []
+        while mask:  # highest bit first, so smallest id first
+            top = mask.bit_length() - 1
+            ids.append(by_bit[top])
+            mask ^= 1 << top
+        yield ids
+
+
+@per_graph
+def enumerate_perfect_matchings(g: MultiGraph) -> tuple[PerfectMatching, ...]:
+    """All perfect matchings, ordered lexicographically by sorted id tuple."""
+    return tuple(PerfectMatching(frozenset(ids)) for ids in matching_edge_ids(g))
 
 
 class MatchingTable(NamedTuple):
@@ -205,12 +224,11 @@ def is_matching_covered(g: MultiGraph) -> tuple[bool, frozenset[int]]:
     """
     if g.vertex_count == 0 or not g.edges:
         return False, frozenset(g.edge_ids)
-    matchings = enumerate_perfect_matchings(g)
-    used: set[int] = set()
-    for m in matchings:
-        used |= m.edge_ids
-    uncovered = frozenset(g.edge_ids) - used
-    if not matchings or uncovered or not is_connected(g):
+    used = 0
+    for mask in matching_masks(g):
+        used |= mask
+    uncovered = frozenset(eid for b, eid in enumerate(_edge_ids_by_bit(g)) if not used >> b & 1)
+    if not used or uncovered or not is_connected(g):
         return False, uncovered
     return True, frozenset()
 

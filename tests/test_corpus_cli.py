@@ -1,16 +1,24 @@
 import ast
+import itertools
 import json
+import math
 import os
+import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pmlattice
+from pmlattice import cli
 from pmlattice.cli import main
 from pmlattice.corpus import (CORPUS_NAMES, corpus_graph, dump_graph_file,
-                              parse_graph_file, random_matching_covered)
+                              graph_to_file_dict, parse_graph_file,
+                              random_matching_covered, write_json)
 from pmlattice.graph import MultiGraph
 from pmlattice.matchings import is_matching_covered
 
@@ -36,6 +44,7 @@ def test_graph_file_round_trip():
     for name in CORPUS_NAMES:
         g = corpus_graph(name)
         text = dump_graph_file(name, g)
+        assert text == json.dumps(graph_to_file_dict(name, g), indent=2) + "\n"
         name2, g2 = parse_graph_file(text)
         assert name2 == name and g2 == g
         assert dump_graph_file(name2, g2) == text
@@ -213,6 +222,8 @@ def test_cli_corpus_commands(tmp_path, capsys):
     assert name == "random-v8-s5" and is_matching_covered(g)[0]
     code, out2 = _run(["corpus", "random", "--seed", "5", "--vertices", "8"], capsys)
     assert out2 == out
+    code, out = _run(["corpus", "emit", "prism"], capsys)
+    assert code == 0 and out == dump_graph_file("prism", corpus_graph("prism"))
     code, _ = _run(["corpus", "emit"], capsys)
     assert code == 2
 
@@ -259,13 +270,17 @@ GRAPH_COMMANDS = (
 )
 
 
+def _package_env() -> dict:
+    """The environment with this package importable in a new interpreter."""
+    src = str(Path(pmlattice.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     """Run ``python3 *args`` in a new interpreter with this package importable."""
-    src = str(Path(pmlattice.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=_package_env(), timeout=120)
 
 
 def test_cli_fresh_process_matches_in_process(tmp_path, capsys):
@@ -302,3 +317,116 @@ def test_cli_verify_help_reads_the_triple_cap(capsys):
         main(["verify", "--help"])
     text = " ".join(capsys.readouterr().out.split())
     assert "--triple-cap TRIPLE_CAP vertex cap for the nested-triple exhaustion (default 10)" in text
+
+
+def _written(doc) -> str:
+    chunks: list[str] = []
+    write_json(doc, chunks.append)
+    return "".join(chunks)
+
+
+def _as_iterators(doc):
+    """``doc`` with every list replaced by an iterator over its items."""
+    if isinstance(doc, dict):
+        return {k: _as_iterators(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return iter([_as_iterators(v) for v in doc])
+    return doc
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+            | st.floats() | st.sampled_from([-0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf])
+            | st.text() | st.sampled_from(['"\\/\b\f\n\r\t\x00\x1f\x7f', "\u00e9\u6f22\U0001f600\u2028"]))
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)
+                      | st.lists(st.integers(), max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCS)
+def test_report_writer_matches_json_dumps(doc):
+    expected = json.dumps(doc, indent=2)
+    assert _written(doc) == expected
+    assert _written(_as_iterators(doc)) == expected
+
+
+def test_every_report_equals_json_dumps_of_its_result(tmp_path, capsys):
+    """Each graph command on each corpus graph writes the bytes that
+    ``json.dumps(report, indent=2)`` gives for the report it computed."""
+    for name in CORPUS_NAMES:
+        path = tmp_path / f"{name}.json"
+        path.write_text(dump_graph_file(name, corpus_graph(name)))
+        for command in GRAPH_COMMANDS:
+            argv = command + ["--input", str(path)]
+            code, out = _run(argv, capsys)
+            report, want_code = cli._run(cli.build_parser().parse_args(argv))
+            assert (code, out) == (want_code, json.dumps(report, indent=2, default=list) + "\n"), \
+                (name, command)
+
+
+def _complete_graph_file(tmp_path, n: int) -> Path:
+    path = tmp_path / f"K{n}.json"
+    path.write_text(dump_graph_file(f"K{n}", MultiGraph.from_pairs(
+        n, list(itertools.combinations(range(n), 2)))))
+    return path
+
+
+def test_cli_output_errors_exit_2(tmp_path, capsys):
+    k4 = tmp_path / "k4.json"
+    k4.write_text(dump_graph_file("k4", corpus_graph("k4")))
+    target = tmp_path / "missing" / "x.json"
+    code = main(["pm", "count", "--input", str(k4), "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert json.loads(captured.out)["result"]["error"] == "FileNotFoundError"
+    # a write that fails partway (a 4 KB file-size limit against K12's
+    # report) leaves neither the output nor its temp file behind
+    target = tmp_path / "k12.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pmlattice.cli", "pm", "list",
+         "--input", str(_complete_graph_file(tmp_path, 12)), "--output", str(target)],
+        capture_output=True, text=True, env=_package_env(), timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096)))
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout)["result"]["error"] == "OSError"
+    assert not target.exists() and not Path(str(target) + ".tmp").exists()
+    # a full stdout gets no second report after the part already written
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmlattice.cli", "pm", "list",
+             "--input", str(_complete_graph_file(tmp_path, 12))],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_package_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (2, "")
+
+
+def test_cli_closed_stdout_exits_2_quietly(tmp_path):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pmlattice.cli", "pm", "list",
+         "--input", str(_complete_graph_file(tmp_path, 12))],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_package_env())
+    try:
+        assert proc.stdout.read(200)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (2, b"")
+
+
+def test_pm_list_streams_in_little_memory(tmp_path):
+    """K12's 10,395 matchings are written without a list of them: the
+    traced peak stays under 3 MB (it was 15 MB with materialised reports)."""
+    path = _complete_graph_file(tmp_path, 12)
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        code = main(["pm", "list", "--input", str(path), "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(out.read_text())["result"]["count"] == 10395
+    assert peak < 3 * 2**20

@@ -4,11 +4,12 @@ from hypothesis import strategies as st
 
 from pmlattice.corpus import random_matching_covered
 from pmlattice.errors import PreconditionViolated
-from pmlattice.graph import MultiGraph, make_cut
+from pmlattice.graph import MultiGraph, cut_contractions, make_cut
 from pmlattice.matchings import (PerfectMatching, count_perfect_matchings,
                                  enumerate_perfect_matchings,
                                  extend_across_cut, idp_decompose,
-                                 is_matching_covered)
+                                 is_matching_covered, matching_edge_ids,
+                                 matching_masks, matching_table)
 
 from conftest import bipartite_matching_count, brute_force_matchings
 
@@ -27,7 +28,51 @@ def test_counts_against_brute_force(corpus):
 def _agreed_count(g: MultiGraph) -> int:
     count = count_perfect_matchings(g)
     assert count == len(enumerate_perfect_matchings(g)) == len(brute_force_matchings(g))
+    assert count == len(matching_masks(g))
     return count
+
+
+def _oracle_graphs(corpus) -> dict[str, MultiGraph]:
+    """The corpus plus graphs whose edge ids are sparse and not listed in id
+    order, with parallel edges, cut-contractions (which keep sparse ids),
+    and odd and zero vertex counts."""
+    graphs = dict(corpus)
+    # K4 with ids 11, 9, ... listed out of order, then a parallel (0, 1)
+    graphs["k4-sparse"] = MultiGraph(4, ((11, 0, 1), (2, 2, 3), (9, 0, 2), (5, 1, 3),
+                                         (7, 0, 3), (3, 1, 2), (4, 0, 1)))
+    graphs["prism-reversed"] = MultiGraph(6, tuple(reversed(corpus["prism"].edges)))
+    for name, shore in (("petersen", (0, 1, 2, 3, 4)), ("prism", (0, 1, 2)),
+                        ("pete-k4-splice", (0, 1, 2, 3, 4, 5, 6))):
+        for side, h in zip("ab", cut_contractions(corpus[name], shore)):
+            graphs[f"{name}-{side}"] = h
+    graphs["path-5"] = MultiGraph.from_pairs(5, [(i, i + 1) for i in range(4)])
+    graphs["empty"] = MultiGraph(0, ())
+    return graphs
+
+
+def test_enumeration_matches_brute_force_oracle(corpus):
+    for name, g in _oracle_graphs(corpus).items():
+        oracle = sorted(brute_force_matchings(g), key=lambda s: PerfectMatching(s).key())
+        assert [m.edge_ids for m in enumerate_perfect_matchings(g)] == oracle, name
+        assert list(matching_edge_ids(g)) == [sorted(s) for s in oracle], name
+        masks = matching_masks(g)
+        assert list(masks) == sorted(masks, reverse=True) and len(set(masks)) == len(masks)
+    assert list(matching_edge_ids(MultiGraph(0, ()))) == [[]]
+    assert matching_masks(MultiGraph.from_pairs(3, ((0, 1), (1, 2)))) == ()
+
+
+def test_table_masks_match_frozenset_construction(corpus):
+    for name, g in _oracle_graphs(corpus).items():
+        t = matching_table(g)
+        assert t.masks == tuple(sum(1 << t.edge_pos[eid] for eid in m.edge_ids)
+                                for m in t.matchings), name
+
+
+def test_long_path_masks_list_one_matching():
+    n = 2400
+    g = MultiGraph.from_pairs(n, [(i, i + 1) for i in range(n - 1)])
+    assert len(matching_masks(g)) == 1
+    assert list(matching_edge_ids(g)) == [list(range(0, n - 1, 2))]
 
 
 def test_count_edge_cases():
