@@ -28,7 +28,7 @@ from .matchings import (PerfectMatching, _is_perfect_matching_of,
                         enumerate_perfect_matchings, incidence_vectors,
                         matching_table, require_matching_covered)
 from .polytope import (DEFAULT_VERTEX_CAP, cut_face, cuts_equivalent,
-                       dim_by_rank, is_bvn, is_separating, members_dim,
+                       dim_by_rank, facet_masks, is_bvn, is_separating,
                        separating_facet_defining_cuts)
 
 
@@ -492,7 +492,7 @@ def _adjust_cut(g: MultiGraph, cut: Cut, m: PerfectMatching,
         kept = contract_shore(g, x)
         if find_tight_cut(kept) is not None or not is_petersen(kept):
             raise _GuidedStall
-        d = dim_by_rank(g)
+        facets = facet_masks(g)
         c_vertex = len(x)
         back = {new: old for old, new in shore_index_map(x).items()}
         for verts, _ in five_cycles(kept):
@@ -501,7 +501,7 @@ def _adjust_cut(g: MultiGraph, cut: Cut, m: PerfectMatching,
             y = frozenset(back[v] for v in verts)
             d_cut = make_cut(g, y)
             face = cut_face(g, d_cut.boundary)
-            if not face or members_dim(g, face) != d - 1:
+            if face not in facets:
                 continue
             if not is_separating(g, d_cut.shore) or not _sides_petersen_free(g, d_cut):
                 continue

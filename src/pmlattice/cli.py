@@ -21,10 +21,11 @@ from .corpus import (CORPUS_NAMES, corpus_graph, graph_to_file_dict,
 from .errors import (PmLatticeError, PreconditionViolated, TheoremFalsified,
                      VertexCapExceeded)
 from .graph import MultiGraph
-from .matchings import count_perfect_matchings, matching_edge_ids, matching_masks
-from .polytope import (DEFAULT_TRIPLE_CAP, DEFAULT_VERTEX_CAP, classify_all_cuts,
-                       enumerate_codim2_faces, enumerate_facets, is_bvn,
-                       polytope_dim)
+from .matchings import (count_perfect_matchings, matching_edge_ids, matching_masks,
+                        require_matching_covered)
+from .polytope import (DEFAULT_TRIPLE_CAP, DEFAULT_VERTEX_CAP, check_cap,
+                       classify_all_cuts, enumerate_codim2_faces, enumerate_facets,
+                       facet_cuts, is_bvn, polytope_dim, separating_cuts)
 
 SCHEMA = "pmlattice-report/1"
 
@@ -86,29 +87,32 @@ def _cmd_polytope(args, g: MultiGraph) -> dict:
     if args.action == "facets":
         facets = enumerate_facets(g, args.max_vertices)
         return {"dim": polytope_dim(g), "facet_count": len(facets),
-                "facets": [{"members": sorted(f.member_matchings),
+                "facets": [{"members": list(f.key()),
                             "exposing_edges": list(f.exposed_by_edges),
                             "exposing_cut_shores": [_shore(c) for c in f.exposed_by_cuts]}
                            for f in facets]}
     faces = enumerate_codim2_faces(g, args.max_vertices)
     return {"dim": polytope_dim(g), "count": len(faces),
             "all_edge_exposed": all(f.exposed_by_edges for f in faces),
-            "faces": [{"members": sorted(f.member_matchings),
+            "faces": [{"members": list(f.key()),
                        "exposing_edges": list(f.exposed_by_edges)} for f in faces]}
 
 
 def _cmd_cuts(args, g: MultiGraph) -> dict:
-    classes = classify_all_cuts(g, args.max_vertices)
     if args.action == "classify":
         return {"cuts": [{
             "shore": _shore(c.cut), "boundary": sorted(c.cut.boundary),
             "tight": c.is_tight, "separating": c.is_separating,
             "facet_defining": c.is_facet_defining, "face_dim": c.face.dim,
-        } for c in classes]}
-    flag = {"tight": lambda c: c.is_tight,
-            "separating": lambda c: c.is_separating,
-            "facet": lambda c: c.is_facet_defining}[args.action]
-    return {"shores": [_shore(c.cut) for c in classes if flag(c)]}
+        } for c in classify_all_cuts(g, args.max_vertices)]}
+    if args.action == "separating":
+        return {"shores": [_shore(c) for c in separating_cuts(g, args.max_vertices)]}
+    if args.action == "facet":
+        return {"shores": [_shore(c) for c in facet_cuts(g, args.max_vertices)]}
+    from .decomposition import tight_shores
+    require_matching_covered(g)
+    check_cap(g, args.max_vertices)
+    return {"shores": [list(shore) for shore in tight_shores(g)]}
 
 
 def _tree_payload(node) -> dict:

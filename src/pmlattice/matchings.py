@@ -11,12 +11,17 @@ matching and costs at most what enumeration costs (K16's 2,027,025
 matchings are counted through 1,597 vertex sets).
 
 ``matching_table(g)`` is the one place matchings become bitmasks and
-rows: an edge mask and an incidence row per matching and a star mask per
-vertex, built once per graph.  A face is an int mask over matching
-indices; every face, dimension, crossing-count and cut-equivalence query
-in ``polytope``, ``decomposition``, ``verifier`` and ``basis`` reads the
-table, and ``PerfectMatching.incidence_on`` is left to bases made of
-merged matchings.  The masks, matchings, table and matching-covered
+rows: an edge mask and an incidence row per matching, a star mask per
+vertex, and per edge the set of matchings using it (``cols``, the
+column-major transpose of the edge masks), built once per graph.  A face is
+an int mask over matching indices; every face, dimension, crossing-count and
+cut-equivalence query in ``polytope``, ``decomposition``, ``verifier`` and
+``basis`` reads the table, and ``PerfectMatching.incidence_on`` is left to
+bases made of merged matchings.  Faces of cuts and of ``x_e = 0`` are read
+from ``cols``: the matchings meeting a cut exactly once come from a two-level
+bit-sliced counter over the cut's edge columns (Knuth, TAOCP 4A 7.1.3), so a
+face costs a few big-int operations per cut edge rather than one test per
+matching.  The masks, matchings, table and matching-covered
 verdict are kept in the graph's memo (``graph.per_graph``).
 """
 
@@ -119,7 +124,8 @@ class MatchingTable(NamedTuple):
 
     Bit i of an edge mask and entry i of a row is ``g.edges[i]``; bit i
     of a face mask is ``matchings[i]``.  ``masks`` holds one edge mask per
-    matching, ``vectors`` its incidence row, and ``stars`` one edge mask
+    matching, ``vectors`` its incidence row, ``cols`` one face mask per
+    edge (the matchings using ``g.edges[i]``), and ``stars`` one edge mask
     per vertex (its incident edges), so the boundary of a vertex set is
     the XOR of its stars.
     """
@@ -128,6 +134,7 @@ class MatchingTable(NamedTuple):
     edge_pos: dict[int, int]
     masks: tuple[int, ...]
     vectors: tuple[tuple[int, ...], ...]
+    cols: tuple[int, ...]
     stars: tuple[int, ...]
     all_edges: int
 
@@ -148,8 +155,19 @@ class MatchingTable(NamedTuple):
         return out
 
     def face(self, cut: int) -> int:
-        """Face mask of the matchings meeting the edge mask ``cut`` once."""
-        return sum(1 << i for i, m in enumerate(self.masks) if (m & cut).bit_count() == 1)
+        """Face mask of the matchings meeting the edge mask ``cut`` once.
+
+        ``one`` holds the matchings met at least once so far, ``two`` those
+        met at least twice."""
+        one = two = 0
+        cols = self.cols
+        while cut:
+            low = cut & -cut
+            col = cols[low.bit_length() - 1]
+            two |= one & col
+            one |= col
+            cut ^= low
+        return one & ~two
 
     def shore_face(self, shore: int) -> int:
         """Face mask of delta(X) for the vertex set X given as a bitmask."""
@@ -163,17 +181,11 @@ class MatchingTable(NamedTuple):
 
     def avoiding(self, eid: int) -> int:
         """Face mask of the matchings without edge ``eid`` (x_e = 0)."""
-        bit = 1 << self.edge_pos[eid]
-        return sum(1 << i for i, m in enumerate(self.masks) if not m & bit)
+        return self.all_matchings ^ self.cols[self.edge_pos[eid]]
 
     def covers_all_edges(self, face: int) -> bool:
         """Whether the matchings of the face use every edge."""
-        used = 0
-        while face:
-            low = face & -face
-            used |= self.masks[low.bit_length() - 1]
-            face ^= low
-        return used == self.all_edges
+        return all(col & face for col in self.cols)
 
 
 @per_graph
@@ -185,8 +197,13 @@ def matching_table(g: MultiGraph) -> MatchingTable:
         stars[v] |= 1 << i
     ms = enumerate_perfect_matchings(g)
     masks = tuple(sum(1 << edge_pos[eid] for eid in m.edge_ids) for m in ms)
-    vectors = tuple(tuple(m >> i & 1 for i in range(len(g.edges))) for m in masks)
-    return MatchingTable(ms, edge_pos, masks, vectors, tuple(stars), (1 << len(g.edges)) - 1)
+    e = len(g.edges)
+    vectors = tuple(tuple(m >> i & 1 for i in range(e)) for m in masks)
+    # every mask as e binary digits, last matching first: the digits of edge
+    # i sit every e characters, and read as one binary number they are cols[i]
+    digits = "".join(format(m, f"0{e}b") for m in reversed(masks))
+    cols = tuple(int(digits[e - 1 - i::e] or "0", 2) for i in range(e))
+    return MatchingTable(ms, edge_pos, masks, vectors, cols, tuple(stars), (1 << e) - 1)
 
 
 def count_perfect_matchings(g: MultiGraph) -> int:

@@ -4,25 +4,44 @@ A face is an int mask over the canonical matching enumeration (bit i is
 matching i), never an inequality system: exact, finite, and easy to
 deduplicate at desk scale.  Faces intersect by ``&``, and face ``a`` lies
 in face ``b`` when ``not a & ~b``.  Masks, incidence rows and crossing
-counts come from the graph's table, ``matchings.matching_table``; a
-face's dimension is the affine rank of its rows (``members_dim``,
-memoized on the mask).
-Candidate facet exposers are the edges (``x_e >= 0``) and the nontrivial
-odd cuts (``x(C) >= 1``), which suffice by the Edmonds-Johnson
-description; the degree equations are the affine hull.  Every scan for
-odd cuts whose face is a facet goes through ``_facet_shores``.
+counts come from the graph's table, ``matchings.matching_table``; the face
+of every canonical nontrivial odd shore is computed once per graph
+(``shore_faces``) and every odd-shore scan reads it.
+
+The facial structure is read from face masks through three identities,
+with no rank:
+
+- Facets (``facet_masks``).  P(G) is described by ``x_e >= 0``, the degree
+  equations and ``x(C) >= 1`` for the nontrivial odd cuts C (Edmonds 1965).
+  Every facet is the face of one of those inequalities and every proper
+  face lies in a facet, so the facets are the inclusion-maximal faces of
+  the edges and odd cuts, once the empty face and P are set aside.
+- Separating cuts (``is_separating``).  A cut of a matching-covered graph
+  is separating iff every edge lies in a perfect matching meeting the cut
+  once, that is iff its face is nonempty and its matchings use every edge
+  (Carvalho, Lucchesi and Murty 2002; Lucchesi and Murty, *Perfect
+  Matchings*).
+- Ridges (``enumerate_codim2_faces``).  In the face lattice of a polytope,
+  a face of dimension d-2 lies in exactly two facets and a smaller face in
+  at least three (the diamond property; Ziegler, *Lectures on Polytopes*,
+  Lecture 2), so the intersection of two facets is a (d-2)-face exactly
+  when no third facet holds it.
+
+Dimension is computed by rank (``members_dim``, memoized on the mask) only
+where a dimension is reported or verified: ``polytope_dim``, the face
+dimensions of ``classify_all_cuts`` that are not a facet's or P's, and
+the verifier's checks.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import PreconditionViolated, TheoremFalsified, VertexCapExceeded
-from .graph import (Cut, MultiGraph, boundary, cut_contractions, make_cut,
-                    odd_shores, per_graph, shore_complement)
+from .graph import (Cut, MultiGraph, boundary, make_cut, odd_shores, per_graph,
+                    shore_complement)
 from .linalg import affine_dim
-from .matchings import (matching_covered, matching_table,
-                        require_matching_covered)
+from .matchings import MatchingTable, matching_table, require_matching_covered
 
 DEFAULT_VERTEX_CAP = 16
 DEFAULT_TRIPLE_CAP = 10  # P-TRIPLE's nested-triple exhaustion (verifier)
@@ -31,6 +50,17 @@ DEFAULT_TRIPLE_CAP = 10  # P-TRIPLE's nested-triple exhaustion (verifier)
 def check_cap(g: MultiGraph, max_vertices: int) -> None:
     if g.vertex_count > max_vertices:
         raise VertexCapExceeded(g.vertex_count, max_vertices)
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    digits = bin(mask)[:1:-1]  # bit i is character i
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 class Face(NamedTuple):
@@ -48,7 +78,7 @@ class Face(NamedTuple):
 
     def key(self) -> tuple[int, ...]:
         """Indices of the member matchings, ascending."""
-        return tuple(i for i in range(self.mask.bit_length()) if self.mask >> i & 1)
+        return tuple(_bits(self.mask))
 
     @property
     def member_matchings(self) -> frozenset[int]:
@@ -87,23 +117,102 @@ def cut_face(g: MultiGraph, edge_set: Iterable[int]) -> int:
 @per_graph
 def members_dim(g: MultiGraph, face: int) -> int:
     """Affine dimension of the face with mask ``face``."""
+    if face.bit_count() <= 2:  # no, one or two distinct points
+        return face.bit_count() - 1
     rows = matching_table(g).vectors
-    return affine_dim([rows[i] for i in range(face.bit_length()) if face >> i & 1])
+    return affine_dim([rows[i] for i in _bits(face)])
 
 
 @per_graph
-def is_separating(g: MultiGraph, shore: tuple[int, ...]) -> bool:
-    """Both cut-contractions matching-covered.
-
-    The face-based condition (no x_e >= 0 contains the cut's face) is a
-    sound rejector and prunes most shores before the contraction check.
-    """
+def shore_faces(g: MultiGraph) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(shore, face mask of its cut) for every canonical nontrivial odd
+    shore, in ``odd_shores`` order: the one odd-shore face scan."""
     t = matching_table(g)
-    face = t.face(t.cut_mask(shore))
-    if not face or not t.covers_all_edges(face):
-        return False
-    keep_shore, keep_comp = cut_contractions(g, shore)
-    return matching_covered(keep_shore) and matching_covered(keep_comp)
+    return tuple((shore, t.face(t.cut_mask(shore))) for shore in odd_shores(g))
+
+
+def _separates(t: MatchingTable, face: int) -> bool:
+    return bool(face) and t.covers_all_edges(face)
+
+
+def is_separating(g: MultiGraph, shore: tuple[int, ...]) -> bool:
+    """Whether delta(shore) is separating (both cut-contractions
+    matching-covered): its face is nonempty and uses every edge."""
+    t = matching_table(g)
+    return _separates(t, t.face(t.cut_mask(shore)))
+
+
+def _shore_cut(g: MultiGraph, t: MatchingTable, shore: tuple[int, ...]) -> Cut:
+    """``make_cut`` of a canonical shore, its boundary read from the stars."""
+    return Cut(shore, frozenset(g.edges[i][0] for i in _bits(t.cut_mask(shore))))
+
+
+# ``_held`` stops ANDing once this few candidate sets are left and tests
+# each with one subset test: a face held by several sets would otherwise be
+# ANDed over all of its members
+_NARROW = 16
+
+
+def _held(face: int, incidence: Sequence[int], sets: Sequence[int], candidates: int) -> bool:
+    """Whether one of the sets among ``candidates`` (bit k is ``sets[k]``)
+    holds ``face``; ``incidence[i]`` has bit k when ``sets[k]`` holds
+    matching i.  The AND of ``incidence`` over the face's members narrows
+    the candidates until at most ``_NARROW`` are left, and those are tested
+    directly."""
+    maybe = candidates
+    if maybe.bit_count() > _NARROW:
+        digits = bin(face)[:1:-1]  # bit i is character i
+        i = digits.find("1")
+        while i >= 0 and maybe.bit_count() > _NARROW:
+            maybe &= incidence[i]
+            i = digits.find("1", i + 1)
+    while maybe:
+        low = maybe & -maybe
+        if not face & ~sets[low.bit_length() - 1]:
+            return True
+        maybe ^= low
+    return False
+
+
+@per_graph
+def facet_masks(g: MultiGraph) -> dict[int, int]:
+    """The facets of P(G) as face masks, each mapped to its position in
+    ``Face.key`` order: the inclusion-maximal faces of ``x_e >= 0`` and of
+    the nontrivial odd cuts, without the empty face and P (exact by the
+    Edmonds description; no rank)."""
+    t = matching_table(g)
+    candidates = {t.avoiding(eid) for eid in g.edge_ids}.union(f for _, f in shore_faces(g))
+    candidates -= {0, t.all_matchings}
+    # a face strictly inside a facet has fewer members, so the facets come first
+    kept: list[int] = []
+    holders = [0] * len(t.masks)  # bit k: kept[k] holds matching i
+    for face in sorted(candidates, key=int.bit_count, reverse=True):
+        if not _held(face, holders, kept, (1 << len(kept)) - 1):
+            for i in _bits(face):
+                holders[i] |= 1 << len(kept)
+            kept.append(face)
+    kept.sort(key=_bits)
+    return {face: k for k, face in enumerate(kept)}
+
+
+@per_graph
+def facet_incidence(g: MultiGraph) -> tuple[int, ...]:
+    """Per matching, the facets holding it (bit k is the k-th facet of
+    ``facet_masks``): the transpose of the facet masks."""
+    rows = [0] * len(matching_table(g).masks)
+    for face, k in facet_masks(g).items():
+        for i in _bits(face):
+            rows[i] |= 1 << k
+    return tuple(rows)
+
+
+def _cut_class(t: MatchingTable, cut: Cut, face: int, fdim: int, d: int) -> CutClass:
+    tight = face == t.all_matchings
+    sep = _separates(t, face)
+    if tight and not sep:
+        raise TheoremFalsified("tight cuts are separating", {
+            "shore": list(cut.shore), "boundary": sorted(cut.boundary)})
+    return CutClass(cut, tight, sep, fdim == d - 1, Face(face, fdim, exposed_by_cuts=(cut,)))
 
 
 def classify_cut(g: MultiGraph, x: Iterable[int]) -> CutClass:
@@ -115,51 +224,35 @@ def classify_cut(g: MultiGraph, x: Iterable[int]) -> CutClass:
     if not (1 < len(vs) < n - 1):
         raise PreconditionViolated("trivial_shore", "shore size must satisfy 1 < |X| < |V|-1")
     require_matching_covered(g)
-    return _classify(g, vs, polytope_dim(g))
-
-
-def _classify(g: MultiGraph, vs: frozenset[int], d: int) -> CutClass:
-    """classify_cut on a checked odd shore of a graph with dim P(G) = d."""
+    d = polytope_dim(g)
     cut = make_cut(g, vs)
     t = matching_table(g)
     face = t.face(t.edge_mask(cut.boundary))
-    fdim = members_dim(g, face)
-    tight = face == t.all_matchings
-    sep = is_separating(g, cut.shore)
-    if tight and not sep:
-        raise TheoremFalsified("tight cuts are separating", {
-            "shore": list(cut.shore), "boundary": sorted(cut.boundary)})
-    return CutClass(cut, tight, sep, fdim == d - 1, Face(face, fdim, exposed_by_cuts=(cut,)))
+    return _cut_class(t, cut, face, members_dim(g, face), d)
 
 
 def separating_cuts(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Cut]:
     """All separating cuts over canonical nontrivial odd shores, scan order."""
     require_matching_covered(g)
     check_cap(g, max_vertices)
-    return [make_cut(g, s) for s in odd_shores(g) if is_separating(g, s)]
+    t = matching_table(g)
+    return [_shore_cut(g, t, shore) for shore, face in shore_faces(g) if _separates(t, face)]
 
 
-def _facet_shores(g: MultiGraph) -> Iterator[tuple[tuple[int, ...], int]]:
+def _facet_shores(g: MultiGraph) -> list[tuple[tuple[int, ...], int]]:
     """(shore, face mask) for every canonical nontrivial odd shore whose
     cut face is a facet, in canonical shore order.  The one facet-shore
     scan: callers check matching-coveredness and the vertex cap first."""
-    d = polytope_dim(g)
-    t = matching_table(g)
-    for shore in odd_shores(g):
-        face = t.face(t.cut_mask(shore))
-        if face and members_dim(g, face) == d - 1:
-            yield shore, face
+    polytope_dim(g)  # the brick-count cross-check
+    facets = facet_masks(g)
+    return [(shore, face) for shore, face in shore_faces(g) if face in facets]
 
 
 def is_bvn(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> tuple[bool, Cut | None]:
     """Birkhoff-von-Neumann test; returns a separating facet-defining
     witness cut on failure (first in canonical shore order)."""
-    require_matching_covered(g)
-    check_cap(g, max_vertices)
-    for shore, _ in _facet_shores(g):
-        if is_separating(g, shore):
-            return False, make_cut(g, shore)
-    return True, None
+    witness = next(iter(separating_facet_defining_cuts(g, max_vertices)), None)
+    return witness is None, witness
 
 
 def separating_facet_defining_cuts(g: MultiGraph,
@@ -167,51 +260,75 @@ def separating_facet_defining_cuts(g: MultiGraph,
     """Separating cuts whose face is a facet, in canonical shore order."""
     require_matching_covered(g)
     check_cap(g, max_vertices)
-    return [make_cut(g, shore) for shore, _ in _facet_shores(g) if is_separating(g, shore)]
+    t = matching_table(g)
+    return [_shore_cut(g, t, shore) for shore, face in _facet_shores(g) if _separates(t, face)]
+
+
+def facet_cuts(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Cut]:
+    """Cuts whose face is a facet, over canonical nontrivial odd shores, scan order."""
+    require_matching_covered(g)
+    check_cap(g, max_vertices)
+    t = matching_table(g)
+    return [_shore_cut(g, t, shore) for shore, _ in _facet_shores(g)]
 
 
 def classify_all_cuts(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[CutClass]:
-    """classify_cut over every canonical nontrivial odd shore, scan order;
-    dim P(G) is computed once."""
+    """classify_cut over every canonical nontrivial odd shore, scan order.
+    dim P(G) is computed once, and a face is ranked only when it is
+    neither a facet (d-1) nor P (d)."""
     require_matching_covered(g)
     check_cap(g, max_vertices)
     d = polytope_dim(g)
-    return [_classify(g, frozenset(shore), d) for shore in odd_shores(g)]
+    t = matching_table(g)
+    facets = facet_masks(g)
+    out = []
+    for shore, face in shore_faces(g):
+        fdim = d - 1 if face in facets else d if face == t.all_matchings else members_dim(g, face)
+        out.append(_cut_class(t, _shore_cut(g, t, shore), face, fdim, d))
+    return out
 
 
 def enumerate_facets(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Face]:
     """All facets, deduplicated by face mask, with their exposers, in
-    ``Face.key`` order."""
+    ``Face.key`` order (the order of ``facet_masks``)."""
     require_matching_covered(g)
     check_cap(g, max_vertices)
     d = polytope_dim(g)
     t = matching_table(g)
+    facets = facet_masks(g)
     edges_for: dict[int, list[int]] = {}
     cuts_for: dict[int, list[Cut]] = {}
     for eid in g.edge_ids:
         face = t.avoiding(eid)
-        if face and members_dim(g, face) == d - 1:
+        if face in facets:
             edges_for.setdefault(face, []).append(eid)
     for shore, face in _facet_shores(g):
-        cuts_for.setdefault(face, []).append(make_cut(g, shore))
-    return sorted((Face(face, d - 1, tuple(sorted(edges_for.get(face, ()))),
-                        tuple(cuts_for.get(face, ())))
-                   for face in set(edges_for) | set(cuts_for)), key=Face.key)
+        cuts_for.setdefault(face, []).append(_shore_cut(g, t, shore))
+    return [Face(face, d - 1, tuple(sorted(edges_for.get(face, ()))), tuple(cuts_for.get(face, ())))
+            for face in facets]
 
 
 def enumerate_codim2_faces(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Face]:
-    """Pairwise facet intersections of dimension d-2, deduplicated.
+    """Pairwise facet intersections of dimension d-2, deduplicated: those
+    held by no third facet (the diamond property; no rank).
 
     Edge exposers are attached where the face is exactly P ∩ {x_e = 0}.
     """
-    facets = enumerate_facets(g, max_vertices)
+    require_matching_covered(g)
+    check_cap(g, max_vertices)
     d = polytope_dim(g)
+    facets = list(facet_masks(g))
     t = matching_table(g)
+    incidence = facet_incidence(g)
+    everyone = (1 << len(facets)) - 1
     seen: set[int] = set()
-    for i in range(len(facets)):
+    for i, fi in enumerate(facets):
         for j in range(i + 1, len(facets)):
-            face = facets[i].mask & facets[j].mask
-            if members_dim(g, face) == d - 2:
+            face = fi & facets[j]
+            # a (d-2)-face has at least d-1 members
+            if face in seen or face.bit_count() < d - 1:
+                continue
+            if not _held(face, incidence, facets, everyone ^ (1 << i | 1 << j)):
                 seen.add(face)
     by_edge: dict[int, list[int]] = {}
     for eid in g.edge_ids:

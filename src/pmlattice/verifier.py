@@ -16,15 +16,15 @@ from .decomposition import (barrier_of_tight_cut, brick_count,
                             tight_shores)
 from .errors import PreconditionViolated, TheoremFalsified, VertexCapExceeded
 from .graph import (MultiGraph, contract_shore, cut_contractions,
-                    is_bipartite, is_petersen, make_cut, odd_shores,
+                    is_bipartite, is_petersen, make_cut,
                     shore_complement, shore_index_map)
 from .linalg import lattice_member
 from .matchings import matching_covered, matching_table
 from .polytope import (DEFAULT_TRIPLE_CAP, DEFAULT_VERTEX_CAP, check_cap,
                        cut_face, cuts_equivalent, dim_by_rank, enumerate_codim2_faces,
-                       enumerate_facets, is_bvn, is_separating, members_dim,
-                       polytope_dim, separating_cuts,
-                       separating_facet_defining_cuts, uncross)
+                       enumerate_facets, facet_incidence, is_bvn, is_separating,
+                       members_dim, polytope_dim, separating_cuts,
+                       separating_facet_defining_cuts, shore_faces, uncross)
 
 
 class PropertyReport(NamedTuple):
@@ -47,6 +47,7 @@ def _p_dim(g: MultiGraph, cap: int) -> tuple[str, dict]:
 
 def _p_uncross(g: MultiGraph, cap: int) -> tuple[str, dict]:
     cuts = separating_cuts(g, cap)
+    faces = [cut_face(g, cut.boundary) for cut in cuts]
     t = matching_table(g)
     checked = applicable = 0
     for i in range(len(cuts)):
@@ -58,7 +59,7 @@ def _p_uncross(g: MultiGraph, cap: int) -> tuple[str, dict]:
             if not (x1 & x2 and x1 - x2 and x2 - x1 and shore_complement(g, x1 | x2)):
                 continue
             checked += 1
-            f12 = cut_face(g, cuts[i].boundary) & cut_face(g, cuts[j].boundary)
+            f12 = faces[i] & faces[j]
             if not f12 or not t.covers_all_edges(f12):
                 continue
             applicable += 1
@@ -83,8 +84,8 @@ def _face_of_face_exposed(g: MultiGraph, face: int) -> tuple[int, int]:
         if members_dim(g, sub) == d0 - 1:
             subs.add(sub)
             edge_faces.add(sub)
-    for shore in odd_shores(g):
-        sub = face & t.face(t.cut_mask(shore))
+    for _, shore_face in shore_faces(g):
+        sub = face & shore_face
         if members_dim(g, sub) == d0 - 1:
             subs.add(sub)
     return len(subs), sum(1 for s in subs if s in edge_faces)
@@ -303,17 +304,26 @@ def _p_lemma_count(g: MultiGraph, cap: int) -> tuple[str, dict]:
     facets = enumerate_facets(g, cap)
     codim2 = enumerate_codim2_faces(g, cap)
     f, t, e = len(facets), len(codim2), len(g.edges)
-    # every codim-2 face lies in exactly two facets
+    # every codim-2 face lies in exactly two facets, which are adjacent
+    incidence = facet_incidence(g)  # bit k: facets[k] holds the matching
+    partners = [0] * f  # bit k: facets[k] meets this facet in a codim-2 face
     for face in codim2:
-        owners = sum(1 for fc in facets if not face.mask & ~fc.mask)
-        if owners != 2:
+        owners = (1 << f) - 1
+        for i in face.key():
+            owners &= incidence[i]
+        if owners.bit_count() != 2:
             return "fail", {"reason": "codim-2 face not in exactly two facets",
-                            "members": list(face.key()), "owners": owners}
-    adjacency = []
-    for fc in facets:
-        adjacency.append(sum(
-            1 for other in facets if other is not fc
-            and any(not face.mask & ~(fc.mask & other.mask) for face in codim2)))
+                            "members": list(face.key()), "owners": owners.bit_count()}
+        i, j = (owners & -owners).bit_length() - 1, owners.bit_length() - 1
+        partners[i] |= 1 << j
+        partners[j] |= 1 << i
+    # facets and codim-2 faces are found without rank; rank confirms them
+    for face, want in [(fc, d - 1) for fc in facets] + [(r, d - 2) for r in codim2]:
+        got = members_dim(g, face.mask)
+        if got != want:
+            return "fail", {"reason": "face dimension by rank", "members": list(face.key()),
+                            "dim": got, "expected": want}
+    adjacency = [p.bit_count() for p in partners]
     cert = {"edges": e, "t": t, "f": f, "d": d,
             "min_facet_adjacency": min(adjacency) if adjacency else 0}
     if f < d + 1 or 2 * t < f * d or (adjacency and min(adjacency) < d):

@@ -4,19 +4,24 @@ The oracles here deliberately avoid the library's own code paths: brute
 force over edge subsets for matchings, permanent recursion for bipartite
 counts, per-edge BFS for girth, a separate fraction elimination for
 ranks, and a scan of every odd shore for tight cuts.  They are slower and
-dumber on purpose.
+dumber on purpose.  The facial oracles keep the library's earlier
+implementation: faces counted matching by matching, facets and codim-2
+faces found by exact rank, and separating cuts by contracting both sides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import pytest
 
 from pmlattice.corpus import CORPUS_NAMES, corpus_graph
-from pmlattice.graph import MultiGraph
-from pmlattice.matchings import enumerate_perfect_matchings
+from pmlattice.graph import MultiGraph, cut_contractions, make_cut, odd_shores
+from pmlattice.linalg import affine_dim
+from pmlattice.matchings import (enumerate_perfect_matchings, matching_covered,
+                                 matching_table)
 
 
 @pytest.fixture(scope="session")
@@ -158,3 +163,60 @@ def oracle_odd_faces(g: MultiGraph) -> dict[tuple[int, ...], tuple[list[frozense
             used = set().union(*members)
             out[shore] = (members, used == set(g.edge_ids))
     return out
+
+
+def row_major_face(table, cut: int) -> int:
+    """Face mask of the matchings meeting the edge mask ``cut`` once,
+    counted matching by matching over the table's edge masks."""
+    return sum(1 << i for i, m in enumerate(table.masks) if (m & cut).bit_count() == 1)
+
+
+def row_major_avoiding(table, eid: int) -> int:
+    """Face mask of the matchings without edge ``eid``, matching by matching."""
+    bit = 1 << table.edge_pos[eid]
+    return sum(1 << i for i, m in enumerate(table.masks) if not m & bit)
+
+
+def oracle_is_separating(g: MultiGraph, shore) -> bool:
+    """Both cut-contractions matching-covered."""
+    keep_shore, keep_comp = cut_contractions(g, shore)
+    return matching_covered(keep_shore) and matching_covered(keep_comp)
+
+
+class OracleFaces(NamedTuple):
+    dim: int
+    facets: dict  # facet mask -> (sorted exposing edge ids, exposing shores in scan order)
+    codim2: set  # masks of the pairwise facet intersections of dimension dim - 2
+    classes: list  # per odd shore: (shore, boundary, tight, separating, facet, face, face dim)
+
+
+def oracle_faces(g: MultiGraph) -> OracleFaces:
+    """Facial structure of P(G) by exact rank, face by face: an edge or odd
+    shore exposes a facet when its face has dimension d-1, and two facets
+    meet in a codim-2 face when their intersection has dimension d-2."""
+    table = matching_table(g)
+    rows = table.vectors
+    dims: dict[int, int] = {}
+
+    def dim(face: int) -> int:
+        if face not in dims:
+            dims[face] = affine_dim([rows[i] for i in range(len(rows)) if face >> i & 1])
+        return dims[face]
+
+    d = dim(table.all_matchings)
+    facets: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+    for eid in g.edge_ids:
+        face = row_major_avoiding(table, eid)
+        if face and dim(face) == d - 1:
+            facets.setdefault(face, ([], []))[0].append(eid)
+    classes = []
+    for shore in odd_shores(g):
+        cut = make_cut(g, shore)
+        face = row_major_face(table, table.edge_mask(cut.boundary))
+        if face and dim(face) == d - 1:
+            facets.setdefault(face, ([], []))[1].append(shore)
+        classes.append((shore, cut.boundary, face == table.all_matchings,
+                        oracle_is_separating(g, shore), dim(face) == d - 1, face, dim(face)))
+    masks = list(facets)
+    codim2 = {a & b for i, a in enumerate(masks) for b in masks[i + 1:] if dim(a & b) == d - 2}
+    return OracleFaces(d, {m: (sorted(e), s) for m, (e, s) in facets.items()}, codim2, classes)

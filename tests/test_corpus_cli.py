@@ -178,6 +178,22 @@ def test_cli_malformed_input(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("edge, message", [
+    ({"id": 0, "u": 1, "v": 1}, "self-loop on vertex 1 (edge 0)"),
+    ({"id": 0, "u": 0, "v": 2}, "edge 0 endpoint out of range"),
+    ({"id": 0, "u": -1, "v": 1}, "edge 0 endpoint out of range"),
+])
+def test_cli_bad_edges_report_the_graph_message(tmp_path, capsys, edge, message):
+    """A GraphFile edge that no graph can hold is rejected by ``MultiGraph``
+    itself: exit 2 and its message, with no traceback."""
+    path = tmp_path / "bad-edge.json"
+    path.write_text(json.dumps({"name": "x", "vertex_count": 2, "edges": [edge]}))
+    code = main(["pm", "count", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and "Traceback" not in captured.err
+    assert json.loads(captured.out)["result"] == {"error": "ValueError", "message": message}
+
+
 @pytest.mark.parametrize("doc", [
     {"name": "x", "vertex_count": 2, "edges": [{"id": False, "u": 0, "v": True}]},
     {"name": "x", "vertex_count": 2, "edges": [{"id": 0, "u": False, "v": 1}]},

@@ -6,6 +6,8 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
+from sympy.polys.domains import ZZ
 
 from pmlattice.corpus import corpus_graph, random_matching_covered
 from pmlattice.linalg import (Lattice, affine_dim, gf2_kernel, hnf,
@@ -145,6 +147,55 @@ def test_snf_examples():
     # divisibility chain holds
     divs = snf([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert all(divs[i + 1] % divs[i] == 0 for i in range(len(divs) - 1))
+
+
+def _sympy_hnf_columns(rows) -> list[tuple[int, ...]]:
+    """sympy's (column-style) Hermite normal form of the transpose: its
+    columns are a basis of the row lattice of ``rows``."""
+    h = hermite_normal_form(sympy.Matrix(rows).T)
+    return [tuple(int(x) for x in h.col(j)) for j in range(h.cols)]
+
+
+def _in_column_lattice(columns, v) -> bool:
+    """Whether v is an integer combination of linearly independent columns."""
+    if not columns:
+        return not any(v)
+    a = sympy.Matrix([list(c) for c in columns]).T
+    try:
+        sol, params = a.gauss_jordan_solve(sympy.Matrix(v))
+    except ValueError:  # no rational solution
+        return False
+    assert not params.shape[0]  # independent columns: the solution is unique
+    return all(x.is_integer for x in sol)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices(_INTEGERS))
+def test_hnf_matches_sympy(rows):
+    """``hnf`` and sympy's HNF span the same lattice, and ``hnf`` is in row
+    Hermite form: positive pivots, zeros below and reduced entries above."""
+    if not rows or not rows[0]:
+        return
+    lat = hnf(rows)
+    theirs = _sympy_hnf_columns(rows)
+    assert lat.rank == len(theirs) == _sympy_rank(rows)
+    assert all(lattice_member(lat, v) is not None for v in theirs)
+    assert all(_in_column_lattice(theirs, row) for row in lat.basis)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in lat.basis]
+    assert pivots == sorted(set(pivots))
+    for i, (row, j) in enumerate(zip(lat.basis, pivots)):
+        assert row[j] > 0
+        assert all(0 <= above[j] < row[j] for above in lat.basis[:i])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices(_INTEGERS))
+def test_snf_matches_sympy(rows):
+    """``snf``'s elementary divisors are sympy's nonzero invariant factors."""
+    if not rows or not rows[0]:
+        return
+    factors = invariant_factors(sympy.Matrix(rows), domain=ZZ)
+    assert snf(rows) == tuple(abs(int(x)) for x in factors if x)
 
 
 def test_integer_kernel():

@@ -3,18 +3,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmlattice.corpus import random_matching_covered
+from pmlattice.decomposition import tight_shores
 from pmlattice.errors import PreconditionViolated, VertexCapExceeded
 from pmlattice.graph import (MultiGraph, boundary, cut_contractions, make_cut,
                              odd_shores)
 from pmlattice.matchings import (enumerate_perfect_matchings,
                                  incidence_vectors, matching_covered,
                                  matching_table)
-from pmlattice.polytope import (Face, classify_cut, cut_face, cuts_equivalent,
-                                enumerate_codim2_faces, enumerate_facets,
+from pmlattice.polytope import (Face, classify_all_cuts, classify_cut, cut_face,
+                                cuts_equivalent, enumerate_codim2_faces,
+                                enumerate_facets, facet_cuts, facet_masks,
                                 is_bvn, is_separating, members_dim,
-                                polytope_dim, uncross)
+                                polytope_dim, separating_cuts,
+                                separating_facet_defining_cuts, uncross)
 
-from conftest import brute_force_matchings, oracle_affine_dim, oracle_odd_faces
+from conftest import (brute_force_matchings, oracle_affine_dim, oracle_faces,
+                      oracle_is_separating, oracle_odd_faces, row_major_avoiding,
+                      row_major_face)
 
 
 def test_dimension_examples(corpus):
@@ -118,6 +123,80 @@ def test_members_dim_matches_oracle_on_random_masks(g, draws):
         face = draw % (1 << len(rows))
         want = oracle_affine_dim([r for i, r in enumerate(rows) if face >> i & 1])
         assert members_dim(g, face) == want, face
+
+
+def test_column_faces_match_row_major_on_corpus(corpus):
+    """``cols`` and the faces read from it agree with the matching-by-matching
+    count on every odd vertex set of every corpus graph."""
+    for name, g in corpus.items():
+        t = matching_table(g)
+        assert list(t.cols) == [sum(1 << k for k, m in enumerate(t.masks) if m >> i & 1)
+                                for i in range(len(g.edges))], name
+        for eid in g.edge_ids:
+            assert t.avoiding(eid) == row_major_avoiding(t, eid), (name, eid)
+        for vertices in range(1, 1 << g.vertex_count):
+            if vertices.bit_count() % 2:
+                cut = t.cut_mask(v for v in range(g.vertex_count) if vertices >> v & 1)
+                face = t.face(cut)
+                assert face == row_major_face(t, cut), (name, vertices)
+                used = 0
+                for i in range(len(t.masks)):
+                    if face >> i & 1:
+                        used |= t.masks[i]
+                assert t.covers_all_edges(face) == (used == t.all_edges), (name, vertices)
+
+
+def _assert_facial_structure_matches_oracle(g: MultiGraph) -> None:
+    """Facets, codim-2 faces, separating cuts and cut classes against the
+    rank-, row- and contraction-based oracles."""
+    want = oracle_faces(g)
+    d = polytope_dim(g)
+    assert d == want.dim
+    assert set(facet_masks(g)) == set(want.facets)
+    facets = enumerate_facets(g)
+    assert [f.mask for f in facets] == sorted(want.facets, key=lambda m: Face(m, 0).key())
+    for k, f in enumerate(facets):
+        edges, shores = want.facets[f.mask]
+        assert facet_masks(g)[f.mask] == k and f.dim == d - 1
+        assert list(f.exposed_by_edges) == edges
+        assert list(f.exposed_by_cuts) == [make_cut(g, s) for s in shores]
+    codim2 = enumerate_codim2_faces(g)
+    assert {f.mask for f in codim2} == want.codim2 and len(codim2) == len(want.codim2)
+    t = matching_table(g)
+    for f in codim2:
+        assert f.dim == d - 2 and sum(1 for m in facet_masks(g) if not f.mask & ~m) == 2
+        assert list(f.exposed_by_edges) == [e for e in g.edge_ids if t.avoiding(e) == f.mask]
+    classes = classify_all_cuts(g)
+    assert [(c.cut.shore, c.cut.boundary, c.is_tight, c.is_separating, c.is_facet_defining,
+             c.face.mask, c.face.dim) for c in classes] == want.classes
+    assert all(c.cut == make_cut(g, c.cut.shore) for c in classes)
+    assert separating_cuts(g) == [c.cut for c in classes if c.is_separating]
+    assert tight_shores(g) == [c.cut.shore for c in classes if c.is_tight]
+    assert facet_cuts(g) == [c.cut for c in classes if c.is_facet_defining]
+    sep_facet = [c.cut for c in classes if c.is_separating and c.is_facet_defining]
+    assert separating_facet_defining_cuts(g) == sep_facet
+    assert is_bvn(g) == (not sep_facet, sep_facet[0] if sep_facet else None)
+    for c in classes:
+        assert is_separating(g, c.cut.shore) == c.is_separating
+
+
+def test_facial_structure_matches_oracle_on_corpus(corpus):
+    for name in ("k4", "c6", "k33", "cube", "prism", "double-prism", "petersen",
+                 "petersen-parallel", "pete-c4-splice"):
+        _assert_facial_structure_matches_oracle(corpus[name])
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 10**6), st.integers(1, 3))
+def test_facial_structure_matches_oracle_on_random_graphs(half, seed, extra):
+    """Seeded random matching-covered graphs on 4-14 vertices, and both
+    cut-contractions of their first two separating cuts."""
+    _, g = random_matching_covered(seed, 2 * half, extra)
+    _assert_facial_structure_matches_oracle(g)
+    shores = [s for s in odd_shores(g) if oracle_is_separating(g, s)]
+    for shore in shores[:2]:
+        for h in cut_contractions(g, shore):
+            _assert_facial_structure_matches_oracle(h)
 
 
 def test_face_readers_follow_the_mask(corpus):

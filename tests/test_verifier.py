@@ -63,6 +63,23 @@ def test_p_lemma_count_petersen_numbers(corpus):
     assert cert["min_facet_adjacency"] >= 5
 
 
+def test_p_lemma_count_fails_when_rank_disagrees(corpus, monkeypatch):
+    """Facets and codim-2 faces are found without rank; P-LEMMA-COUNT fails
+    with a certificate when the rank of one disagrees (here a faked rank)."""
+    import pmlattice.verifier as verifier
+    from pmlattice.polytope import enumerate_codim2_faces
+
+    g = corpus["petersen"]
+    ridge = enumerate_codim2_faces(g)[0]
+    real = verifier.members_dim
+    monkeypatch.setattr(verifier, "members_dim",
+                        lambda h, face: real(h, face) - (face == ridge.mask))
+    r = verify_property(g, "P-LEMMA-COUNT", "petersen")
+    assert r.status == "fail"
+    assert r.certificate == {"reason": "face dimension by rank", "members": list(ridge.key()),
+                             "dim": 2, "expected": 3}
+
+
 def test_p_barrier_runs_on_real_tight_cut(corpus):
     r = verify_property(corpus["pete-c4-splice"], "P-BARRIER", "x")
     assert r.status == "pass" and r.certificate["tight_cuts"] >= 1
