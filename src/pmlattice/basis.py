@@ -12,24 +12,25 @@ debugging.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .decomposition import (brick_count, canonical_parity_cycle,
                             find_tight_cut, petersen_bricks, parity_sets,
                             tight_cut_decomposition, tight_shores)
-from .errors import PreconditionViolated, TheoremFalsified
+from .errors import DEFAULT_VERTEX_CAP, PreconditionViolated, TheoremFalsified
 from .graph import (Cut, MultiGraph, boundary, contract_shore,
                     cut_contractions, five_cycles, is_petersen, make_cut,
                     per_graph, shore_complement, shore_index_map, simplify)
-from .linalg import (Lattice, gf2_kernel, hnf, lattice_equal, lattice_index,
+from .linalg import (Echelon, Lattice, gf2_kernel, hnf, lattice_equal, lattice_index,
                      lattice_member, rank, saturation)
 from .matchings import (PerfectMatching, _is_perfect_matching_of,
                         enumerate_perfect_matchings, incidence_vectors,
-                        matching_table, require_matching_covered)
-from .polytope import (DEFAULT_VERTEX_CAP, cut_face, cuts_equivalent,
-                       dim_by_rank, facet_masks, is_bvn, is_separating,
-                       separating_facet_defining_cuts)
+                        matching_table, require_matching_covered, spread_order)
+from .polytope import (cut_face, cuts_equivalent, dim_by_rank, facet_masks, is_bvn,
+                       is_separating, separating_facet_defining_cuts, spanning_matchings)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Basis(NamedTuple):
@@ -65,13 +66,9 @@ def _validate_side_basis(b: Basis) -> None:
 def pm_linear_basis(g: MultiGraph) -> Basis:
     """Greedy linear basis of lin(P(G)) from the matching enumeration."""
     require_matching_covered(g)
-    picked: list[PerfectMatching] = []
-    vecs: list[tuple[int, ...]] = []
     t = matching_table(g)
-    for m, v in zip(t.matchings, t.vectors):
-        if rank(vecs + [v]) > len(vecs):
-            picked.append(m)
-            vecs.append(v)
+    raised = Echelon(len(g.edges)).extend(map(t.row, t.masks), dim_by_rank(g) + 1)
+    picked = [t.matchings[i] for i in raised]
     if len(picked) != dim_by_rank(g) + 1:
         raise TheoremFalsified("matchings span lin(P(G))", {
             "picked": len(picked), "dim": dim_by_rank(g)})
@@ -207,6 +204,8 @@ def merge_coefficients(ctx: MergeContext,
     is verified exactly before returning, and integer inputs produce
     integer outputs.
     """
+    from fractions import Fraction  # imports decimal: only this function needs it
+
     if len(alpha) != len(ctx.b1.elements) or len(beta) != len(ctx.b2.elements):
         raise PreconditionViolated("bad_coefficients", "coefficient lengths do not match the bases")
     a = [Fraction(x) for x in alpha]
@@ -395,14 +394,31 @@ def _span_lattice(g: MultiGraph, elements: Sequence[PerfectMatching]) -> Lattice
 @per_graph
 def matching_saturation(g: MultiGraph) -> Lattice:
     """Lattice of all integer points in lin(P(G)): the saturation of the
-    span of the matching incidence vectors."""
-    return saturation(matching_table(g).vectors, len(g.edges))
+    dim P(G) + 1 independent matching rows of ``spanning_matchings``,
+    which have the rational span of all of them."""
+    t = matching_table(g)
+    return saturation([t.row(t.masks[i]) for i in spanning_matchings(g)], len(g.edges))
 
 
 @per_graph
 def matching_lattice(g: MultiGraph) -> Lattice:
-    """The matching lattice L(G): integer span of all matching vectors."""
-    return hnf(matching_table(g).vectors, len(g.edges))
+    """The matching lattice L(G): integer span of all matching vectors.
+
+    L(G) lies in its saturation S, so once the rows read (in
+    ``spread_order``) span a lattice with S's pivots, which makes its
+    index in S one, L(G) = S and no further row is read.  That happens
+    unless G has a Petersen brick (Lovasz 1987); then every row is read.
+    """
+    t = matching_table(g)
+    sat = matching_saturation(g)
+    want = Echelon(len(g.edges))
+    want.extend(sat.basis)
+    ech = Echelon(len(g.edges))
+    for i in spread_order(len(t.masks)):
+        ech.add(t.row(t.masks[i]))
+        if ech.rank == sat.rank and ech.pivots() == want.pivots():
+            return sat
+    return ech.lattice()
 
 
 def _check_integral(g: MultiGraph, elements: Sequence[PerfectMatching], stage: str) -> None:
@@ -429,7 +445,7 @@ def _bvn_integral_elements(g: MultiGraph) -> tuple[PerfectMatching, ...]:
         return greedy
     need = dim_by_rank(g) + 1
     for combo in itertools.combinations(range(len(t.matchings)), need):
-        vecs = [t.vectors[i] for i in combo]
+        vecs = [t.row(t.masks[i]) for i in combo]
         if rank(vecs) == need and lattice_equal(hnf(vecs, len(g.edges)), want):
             return tuple(t.matchings[i] for i in combo)
     raise TheoremFalsified("a BvN matching polytope admits an integral matching basis", {

@@ -1,31 +1,36 @@
 """Command-line interface: graph analysis commands with JSON reports.
 
+The command line is read by ``cmdline.parse_args``; a malformed one exits
+2 with a ``precondition``/``usage`` report on stdout and nothing on
+stderr.
+
 Reports are byte-deterministic for a fixed input and tool version, so
 ``timing_ms`` stays null unless --timing is passed.  ``corpus.write_json``
 streams every report as ``json.dumps(report, indent=2)`` would write it;
-``pm list`` decodes its matchings while they are written.  Exit codes: 0 for success /
-all-pass, 1 for a property failure or falsified claim, 2 for usage, parse,
-or precondition errors, an unwritable --output or a closed stdout.
+``pm list`` renders its matchings while they are written.  Exit codes: 0
+for success / all-pass, 1 for a property failure or falsified claim, 2 for
+usage, parse, or precondition errors, an unwritable --output or a closed
+stdout.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 from . import __version__
+from .cmdline import UsageError, parse_args
 from .corpus import (CORPUS_NAMES, corpus_graph, graph_to_file_dict,
                      parse_graph_file, random_matching_covered, write_json)
-from .errors import (PmLatticeError, PreconditionViolated, TheoremFalsified,
-                     VertexCapExceeded)
-from .graph import MultiGraph
-from .matchings import (count_perfect_matchings, matching_edge_ids, matching_masks,
+from .errors import (DEFAULT_VERTEX_CAP, PmLatticeError, PreconditionViolated,
+                     TheoremFalsified, VertexCapExceeded)
+from .matchings import (MatchingIdLists, count_perfect_matchings, matching_masks,
                         require_matching_covered)
-from .polytope import (DEFAULT_TRIPLE_CAP, DEFAULT_VERTEX_CAP, check_cap,
-                       classify_all_cuts, enumerate_codim2_faces, enumerate_facets,
-                       facet_cuts, is_bvn, polytope_dim, separating_cuts)
+
+if TYPE_CHECKING:
+    from .graph import MultiGraph
 
 SCHEMA = "pmlattice-report/1"
 
@@ -76,10 +81,11 @@ def _shore(cut) -> list[int]:
 def _cmd_pm(args, g: MultiGraph) -> dict:
     if args.action == "count":
         return {"count": count_perfect_matchings(g)}
-    return {"count": len(matching_masks(g)), "matchings": matching_edge_ids(g)}
+    return {"count": len(matching_masks(g)), "matchings": MatchingIdLists(g)}
 
 
 def _cmd_polytope(args, g: MultiGraph) -> dict:
+    from .polytope import enumerate_codim2_faces, enumerate_facets, polytope_dim
     if args.action == "dim":
         from .decomposition import brick_count
         return {"dim": polytope_dim(g), "edges": len(g.edges),
@@ -99,6 +105,7 @@ def _cmd_polytope(args, g: MultiGraph) -> dict:
 
 
 def _cmd_cuts(args, g: MultiGraph) -> dict:
+    from .polytope import check_cap, classify_all_cuts, facet_cuts, separating_cuts
     if args.action == "classify":
         return {"cuts": [{
             "shore": _shore(c.cut), "boundary": sorted(c.cut.boundary),
@@ -136,6 +143,7 @@ def _cmd_decompose(args, g: MultiGraph) -> dict:
 
 
 def _cmd_bvn(args, g: MultiGraph) -> dict:
+    from .polytope import is_bvn
     bvn, witness = is_bvn(g, args.max_vertices)
     return {"bvn": bvn, "witness_shore": _shore(witness) if witness else None}
 
@@ -185,70 +193,6 @@ def _cmd_verify(args, g: MultiGraph, name: str) -> tuple[dict, int]:
 _HANDLERS = {"pm": _cmd_pm, "polytope": _cmd_polytope, "cuts": _cmd_cuts,
              "decompose": _cmd_decompose, "bvn": _cmd_bvn, "intersect": _cmd_intersect,
              "basis": _cmd_basis, "characterize": _cmd_characterize}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="pmlattice",
-        description="Exact analysis of perfect matching polytopes and lattices.")
-
-    def common(sp):
-        sp.add_argument("--input", help="GraphFile JSON path")
-        sp.add_argument("--output", help="write the report to this path instead of stdout")
-        sp.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_CAP,
-                        help="vertex cap for exponential scans (default %(default)s)")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--timing", action="store_true",
-                        help="include wall time in the report (breaks byte determinism)")
-
-    sub = p.add_subparsers(dest="command", required=True)
-
-    pm = sub.add_parser("pm", help="perfect matchings")
-    pm.add_argument("action", choices=["list", "count"])
-    common(pm)
-
-    poly = sub.add_parser("polytope", help="dimension and faces of P(G)")
-    poly.add_argument("action", choices=["dim", "facets", "codim2"])
-    common(poly)
-
-    cuts = sub.add_parser("cuts", help="odd cut classification")
-    cuts.add_argument("action", choices=["classify", "tight", "separating", "facet"])
-    common(cuts)
-
-    dec = sub.add_parser("decompose", help="tight cut decomposition")
-    common(dec)
-
-    bvn = sub.add_parser("bvn", help="Birkhoff-von-Neumann test")
-    common(bvn)
-
-    inter = sub.add_parser("intersect", help="find a matching meeting a separating "
-                                             "facet-defining cut three times")
-    common(inter)
-
-    bas = sub.add_parser("basis", help="integral or lattice basis of matchings")
-    bas.add_argument("action", choices=["integral", "lattice"])
-    common(bas)
-
-    char = sub.add_parser("characterize", help="matching lattice vs parity-constrained saturation")
-    common(char)
-
-    ver = sub.add_parser("verify", help="run catalog properties")
-    ver.add_argument("property_id", nargs="?", default=None,
-                     help="property id or 'all' (default all)")
-    ver.add_argument("--property", default=None, help="property id (overrides positional)")
-    ver.add_argument("--triple-cap", type=int, default=DEFAULT_TRIPLE_CAP,
-                     help="vertex cap for the nested-triple exhaustion (default %(default)s)")
-    common(ver)
-
-    cor = sub.add_parser("corpus", help="bundled and generated graphs")
-    cor.add_argument("action", choices=["list", "emit", "random"])
-    cor.add_argument("name", nargs="?", default=None, help="graph name for 'emit'")
-    cor.add_argument("--vertices", type=int, default=None, help="vertex count for 'random'")
-    cor.add_argument("--matchings", type=int, default=3,
-                     help="extra random matchings unioned in (default %(default)s)")
-    common(cor)
-
-    return p
 
 
 def _command_name(args) -> str:
@@ -305,21 +249,30 @@ def _run(args) -> tuple[dict, int]:
     except PreconditionViolated as exc:
         # graph stays null until perfbench/expected.json, which pins the
         # byte content of one precondition report, is regenerated
-        return _report(command, None, "error",
-                       {"error": "precondition", "reason": exc.reason,
-                        "message": str(exc)}, [], None), 2
+        return _precondition(command, exc), 2
     except (PmLatticeError, ValueError, OSError) as exc:
         return _error(command, exc), 2
 
 
+def _precondition(command: str | None, exc: PreconditionViolated) -> dict:
+    return _report(command, None, "error", {"error": "precondition", "reason": exc.reason,
+                                            "message": str(exc)}, [], None)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    doc, code = _run(args)
     try:
-        _emit(doc, args.output)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        command, output = exc.command, None
+        doc, code = _precondition(command, exc), 2
+    else:
+        command, output = _command_name(args), args.output
+        doc, code = _run(args)
+    try:
+        _emit(doc, output)
     except OSError as exc:
-        if args.output is not None:  # the --output file could not be written
-            _emit(_error(_command_name(args), exc), None)
+        if output is not None:  # the --output file could not be written
+            _emit(_error(command, exc), None)
             return 2
         # stdout is closed or full, maybe mid-report: write no more, flush to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

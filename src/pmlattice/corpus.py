@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 from .graph import PETERSEN_PAIRS, MultiGraph
-from .matchings import matching_covered
+from .matchings import MatchingIdLists, matching_covered
 
 Pairs = tuple[tuple[int, int], ...]
 
@@ -140,7 +140,8 @@ def _scalar(obj) -> str:
 
 def write_json(obj, write, pad: str = "\n") -> None:
     """Write ``obj`` (str dict keys only) as ``json.dumps(obj, indent=2)`` would,
-    in chunks; lists, tuples and iterators (consumed as written) become arrays."""
+    in chunks; lists, tuples and iterators (consumed as written) become arrays,
+    and ``matchings.MatchingIdLists`` the array of its id lists."""
     inner = pad + "  "
     if isinstance(obj, dict):
         sep = "{" + inner
@@ -149,6 +150,9 @@ def write_json(obj, write, pad: str = "\n") -> None:
             write_json(value, write, inner)
             sep = "," + inner
         write("{}" if sep[0] == "{" else pad + "}")
+    elif isinstance(obj, MatchingIdLists):
+        for chunk in obj.json_chunks(pad):
+            write(chunk)
     elif isinstance(obj, (list, tuple)) and set(map(type, obj)) == {int}:
         write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]")
     elif isinstance(obj, (list, tuple, Iterator)):

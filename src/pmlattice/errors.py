@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default caps whose
+excess raises :class:`VertexCapExceeded`."""
 
 from __future__ import annotations
+
+DEFAULT_VERTEX_CAP = 16  # exponential scans (odd shores, tight cuts, faces)
+DEFAULT_TRIPLE_CAP = 10  # P-TRIPLE's nested-triple exhaustion (verifier)
 
 
 class PmLatticeError(Exception):

@@ -1,19 +1,37 @@
 """Exact integer linear algebra.
 
 Matrices are plain lists of Python ints, so nothing here ever rounds.
-:func:`rank`, and :func:`affine_dim` on top of it, eliminate fraction-free
-over the integers (Bareiss); ``fractions.Fraction`` is accepted only as an
-input entry and is scaled away before elimination.
-The row-style Hermite normal form computed by :func:`hnf` is THE canonical
-form used for every lattice comparison in the package: positive pivots,
-entries above a pivot reduced into ``[0, pivot)``.
+One engine, :class:`Echelon`, does every elimination: it takes integer rows
+one at a time, keeps a fraction-free echelon basis of their integer span
+(unimodular gcd steps, no fractions), says whether each row raised the
+rank, and stops at a target rank when given one.  :func:`rank`,
+:func:`affine_dim`, :func:`hnf` and :func:`integer_kernel` are thin calls
+to it; ``fractions.Fraction`` is accepted only as an input entry of
+:func:`rank` and is scaled away before elimination.  The row-style Hermite
+normal form (``Echelon.lattice``, :func:`hnf`) is THE canonical form used
+for every lattice comparison in the package: positive pivots, entries
+above a pivot reduced into ``[0, pivot)``.
+
+Two uses in the package stop early, both exactly:
+
+- dim P(G) is certified from both sides (``polytope.spanning_matchings``):
+  the degree rows and the tight-cut rows of the decomposition bound it from
+  above by |E| minus their rank, which is the Edmonds-Lovasz-Pulleyblank
+  (1982) value |E| - |V| + 1 - b, and matching rows read in a spread order
+  bound it from below; the scan stops when the bounds meet and reads every
+  row only when they never do.
+- The matching lattice L stops at its saturation S = lin(P) ∩ Z^E
+  (``basis.matching_lattice``).  L lies in S, so once the matching rows
+  read span a lattice with the pivots of S's HNF, its index in S is one
+  and L = S.  By Lovasz (1987) and Carvalho, Lucchesi and Murty (2002),
+  L = S unless G has a Petersen brick; then the scan reads every row.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from math import lcm
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -37,44 +55,106 @@ def _integer_row(r: Sequence[int | Fraction]) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in r]
 
 
+class Echelon:
+    """Incremental fraction-free echelon of integer rows of one width.
+
+    ``add`` inserts one row and reports whether it raised the rank.  The
+    kept rows always generate the integer span of every row inserted so
+    far, one row per pivot column with a positive pivot and zeros before
+    it: a row meeting a kept row's pivot column is reduced by it, by
+    exact division when the pivot divides its entry and otherwise by the
+    unimodular gcd step ``(s*h + t*r, (a/g)*r - (b/g)*h)``, which replaces
+    the kept row by one with pivot g = gcd(a, b).  A row reduced to zero
+    lies in the rational span already (its gcd steps may still have
+    refined the lattice); a row left nonzero becomes the pivot row of its
+    first nonzero column.  ``lattice`` reduces the kept rows above their
+    pivots into the canonical row HNF.
+    """
+
+    __slots__ = ("width", "_rows")
+
+    def __init__(self, width: int):
+        self.width = width
+        self._rows: dict[int, list[int]] = {}  # pivot column -> kept row
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def add(self, row: Iterable[int]) -> bool:
+        """Insert ``row``; whether it raised the rank."""
+        kept = self._rows
+        row = list(row)
+        for c in range(self.width):
+            b = row[c]
+            if not b:
+                continue
+            h = kept.get(c)
+            if h is None:
+                kept[c] = row if b > 0 else [-x for x in row]
+                return True
+            # both rows are zero left of column c, so only their tails change
+            a, tail, head = h[c], row[c:], h[c:]
+            if b % a:
+                g, s, t = xgcd(a, b)
+                kept[c] = row[:c] + [s * x + t * y for x, y in zip(head, tail)]
+                a, b = a // g, b // g
+                row[c:] = [a * y - b * x for x, y in zip(head, tail)]
+            else:
+                b //= a
+                row[c:] = [y - b * x for x, y in zip(head, tail)]
+        return False
+
+    def extend(self, rows: Iterable[Iterable[int]], target: int | None = None) -> list[int]:
+        """Insert ``rows`` in order, stopping once the rank reaches
+        ``target`` (never when None); the positions of the rows that raised
+        the rank."""
+        raised = []
+        if self.rank == target:
+            return raised
+        for i, row in enumerate(rows):
+            if self.add(row):
+                raised.append(i)
+                if self.rank == target:
+                    break
+        return raised
+
+    def pivots(self) -> tuple[tuple[int, int], ...]:
+        """(column, pivot) of every kept row, by column."""
+        return tuple((c, self._rows[c][c]) for c in sorted(self._rows))
+
+    def lattice(self, first: int = 0) -> "Lattice":
+        """The canonical row HNF of the kept rows whose pivot column is
+        ``first`` or later, as a :class:`Lattice` on columns ``first`` on:
+        every entry above a pivot p is reduced into ``[0, p)``.  Reducing a
+        row by the rows below it in column order only changes its entries
+        right of each pivot used, so one pass suffices.  With ``first`` = 0
+        this is the HNF of the span; later, the rows vanishing on the
+        columns before ``first`` generate the span's intersection with
+        them (the rows are echelon), and this is that intersection's HNF."""
+        cols = sorted(c for c in self._rows if c >= first)
+        rows = [self._rows[c] for c in cols]
+        for i, row in enumerate(rows):
+            for c, below in zip(cols[i + 1:], rows[i + 1:]):
+                q = row[c] // below[c]
+                if q:
+                    row[c:] = [x - q * y for x, y in zip(row[c:], below[c:])]
+        return Lattice(self.width - first, tuple(tuple(row[first:]) for row in rows))
+
+
 def rank(m: Sequence[Sequence[int | Fraction]]) -> int:
-    """Exact rank by fraction-free (Bareiss) integer elimination.
+    """Exact rank: the rows go through one :class:`Echelon`.
 
     Entries are ints or ``Fraction``s.  A matrix with a ``Fraction`` entry
     has each row scaled by the lcm of its denominators first, which leaves
     the rank unchanged, so elimination only ever sees Python ints.
-
-    Each step takes a remaining row as pivot row, its first nonzero entry
-    ``p`` as pivot, and replaces every other remaining row by
-    ``(p * row - a * pivot_row) // prev``, where ``a`` is the row's entry
-    in the pivot column and ``prev`` the previous pivot (1 at first).  By
-    Sylvester's identity every entry is then a minor of the input, so the
-    division is exact; this needs rows with ``a == 0`` rescaled to
-    ``p * row // prev`` as well.  Rows that become zero are dropped; the
-    rank is the number of pivots.
     """
-    _check_rect(m)
-    if set(map(type, chain.from_iterable(m))) <= {int}:
-        rows = [r for r in m if any(r)]
-    else:
-        rows = [_integer_row(r) for r in m if any(r)]
-    rnk, prev = 0, 1
-    while rows:
-        prow = rows.pop()
-        col = next(j for j, x in enumerate(prow) if x)
-        p = prow[col]
-        rest = []
-        for row in rows:
-            a = row[col]
-            if a:
-                row = [(p * x - a * y) // prev for x, y in zip(row, prow)]
-            elif p != prev:
-                row = [p * x // prev for x in row]
-            if any(row):
-                rest.append(row)
-        rows, prev = rest, p
-        rnk += 1
-    return rnk
+    width = _check_rect(m)
+    if not set(map(type, chain.from_iterable(m))) <= {int}:
+        m = [_integer_row(r) for r in m]
+    ech = Echelon(width)
+    ech.extend(m, min(width, len(m)))
+    return ech.rank
 
 
 def affine_dim(vectors: Sequence[Sequence[int | Fraction]]) -> int:
@@ -99,55 +179,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         g, s, t = -g, -s, -t
     return g, s, t
-
-
-def _hnf_rows(m: Sequence[Row], transform: bool = False) -> tuple[list[list[int]], list[list[int]]]:
-    """Row HNF of m; optionally the unimodular U with U m = H (zero rows kept)."""
-    width = _check_rect(m)
-    rows = [list(map(int, r)) for r in m]
-    nrows = len(rows)
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if transform else []
-    r = 0
-    for col in range(width):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][col] == 0:
-                continue
-            if piv is None:
-                piv = i
-                continue
-            a, b = rows[piv][col], rows[i][col]
-            g, s, t = xgcd(a, b)
-            va, vb = a // g, b // g
-            rp, ri = rows[piv], rows[i]
-            for j in range(width):
-                pj, ij = rp[j], ri[j]
-                rp[j] = s * pj + t * ij
-                ri[j] = -vb * pj + va * ij
-            if transform:
-                up, ui = u[piv], u[i]
-                for j in range(nrows):
-                    pj, ij = up[j], ui[j]
-                    up[j] = s * pj + t * ij
-                    ui[j] = -vb * pj + va * ij
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        if transform:
-            u[r], u[piv] = u[piv], u[r]
-        if rows[r][col] < 0:
-            rows[r] = [-x for x in rows[r]]
-            if transform:
-                u[r] = [-x for x in u[r]]
-        p = rows[r][col]
-        for i in range(r):
-            q = rows[i][col] // p
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                if transform:
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-        r += 1
-    return rows[:r] + [[0] * width for _ in range(nrows - r)], u
 
 
 class Lattice:
@@ -194,9 +225,9 @@ def hnf(m: Sequence[Row], ambient_dim: int | None = None) -> Lattice:
         ambient_dim = width
     elif m and width != ambient_dim:
         raise ValueError("rows do not match ambient dimension")
-    rows, _ = _hnf_rows(m)
-    nz = [tuple(r) for r in rows if any(r)]
-    return Lattice(ambient_dim, tuple(nz))
+    ech = Echelon(ambient_dim)
+    ech.extend(m)
+    return ech.lattice()
 
 
 def snf(m: Sequence[Row]) -> tuple[int, ...]:
@@ -268,8 +299,10 @@ def snf(m: Sequence[Row]) -> tuple[int, ...]:
 def integer_kernel(m: Sequence[Row], ambient_dim: int) -> Lattice:
     """Lattice of integer x with x m^T = 0 ... i.e. {x in Z^n : m x = 0}.
 
-    Computed from the left kernel of the transpose via an HNF transform;
-    kernels are saturated by construction.
+    Row i of the transpose, followed by the i-th unit row, goes into one
+    :class:`Echelon`, whose span is {(x m^T, x)}; the part of it vanishing
+    on the transpose columns is {(0, x) : m x = 0}.  Kernels are saturated
+    by construction.
     """
     if not m:
         ident = [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)]
@@ -277,23 +310,33 @@ def integer_kernel(m: Sequence[Row], ambient_dim: int) -> Lattice:
     width = _check_rect(m)
     if width != ambient_dim:
         raise ValueError("rows do not match ambient dimension")
-    mt = [[row[i] for row in m] for i in range(width)]  # width x len(m)
-    h, u = _hnf_rows(mt, transform=True)
-    kernel_rows = [u[i] for i in range(len(h)) if not any(h[i])]
-    return hnf(kernel_rows, ambient_dim) if kernel_rows else Lattice(ambient_dim, ())
+    k = len(m)
+    ech = Echelon(k + width)
+    ech.extend([row[i] for row in m] + [int(i == j) for j in range(width)]
+               for i in range(width))
+    return ech.lattice(k)
 
 
 def saturation(m: Sequence[Row], ambient_dim: int | None = None) -> Lattice:
     """All integer points in the rational row span of ``m``.
 
-    Double integer kernel: the kernel of a kernel is saturated and spans
-    the original row space.
+    When the echelon of ``m`` has every pivot 1, its lattice is saturated
+    already: a rational combination of its rows that is integral has an
+    integral coefficient at each pivot column in turn.  Otherwise, double
+    integer kernel: the kernel of a kernel is saturated and spans the
+    original row space.
     """
     width = _check_rect(m)
     if ambient_dim is None:
         if not m:
             raise ValueError("ambient dimension required for an empty row set")
         ambient_dim = width
+    elif m and width != ambient_dim:
+        raise ValueError("rows do not match ambient dimension")
+    span = Echelon(ambient_dim)
+    span.extend(m)
+    if all(p == 1 for _, p in span.pivots()):
+        return span.lattice()
     ker = integer_kernel(m, ambient_dim)
     if not ker.basis:
         ident = [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)]
@@ -333,10 +376,13 @@ def lattice_equal(a: Lattice, b: Lattice) -> bool:
 def lattice_index(sub: Lattice, sup: Lattice) -> int | float:
     """[sup : sub] as an integer, or ``inf`` when sub has lower rank.
 
-    Raises if sub is not contained in sup.
+    Raises if sub is not contained in sup.  Equal lattices (equal
+    canonical bases) have index 1.
     """
     if sub.ambient_dim != sup.ambient_dim:
         raise ValueError("ambient dimension mismatch")
+    if sub.basis == sup.basis:
+        return 1
     coeff_rows = []
     for row in sub.basis:
         c = lattice_member(sup, row)

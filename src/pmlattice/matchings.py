@@ -11,7 +11,8 @@ matching and costs at most what enumeration costs (K16's 2,027,025
 matchings are counted through 1,597 vertex sets).
 
 ``matching_table(g)`` is the one place matchings become bitmasks and
-rows: an edge mask and an incidence row per matching, a star mask per
+rows: an edge mask per matching (its incidence row is built from the mask
+when an exact rank or lattice computation reads it), a star mask per
 vertex, and per edge the set of matchings using it (``cols``, the
 column-major transpose of the edge masks), built once per graph.  A face is
 an int mask over matching indices; every face, dimension, crossing-count and
@@ -112,10 +113,63 @@ def matching_edge_ids(g: MultiGraph) -> Iterator[list[int]]:
         yield ids
 
 
+class MatchingIdLists:
+    """Every matching's sorted edge ids in canonical order, as an iterable
+    of lists (``matching_edge_ids``) that ``corpus.write_json`` writes
+    through ``json_chunks``, without building the lists."""
+
+    def __init__(self, g: MultiGraph):
+        self.graph = g
+
+    def __iter__(self) -> Iterator[list[int]]:
+        return matching_edge_ids(self.graph)
+
+    def json_chunks(self, pad: str) -> Iterator[str]:
+        """The JSON text of the list of id lists at indent ``pad``, as
+        ``json.dumps(list(self), indent=2)`` nests it, 256 matchings per
+        chunk.  Each mask is rendered one byte at a time: per
+        byte position, a table built once maps each of the 256 byte values
+        to the text of its edge ids, smallest id first."""
+        by_bit = _edge_ids_by_bit(self.graph)
+        inner, leaf = pad + "  ", pad + "    "
+        width = (len(by_bit) + 7) // 8
+        tables = []
+        for k in range(width):  # byte k holds bits 8*(width-1-k) .. 8*(width-k)-1
+            table = [""]
+            for b in range(8 * (width - k) - 1, 8 * (width - k - 1) - 1, -1):
+                piece = f",{leaf}{by_bit[b]}" if b < len(by_bit) else ""
+                table = [t for prefix in table for t in (prefix, prefix + piece)]
+            tables.append(table)
+        masks = matching_masks(self.graph)
+        if not masks:
+            yield "[]"
+            return
+        sep, close = f"[{inner}[", f"{pad}]"
+        for start in range(0, len(masks), 256):
+            chunk = []
+            for mask in masks[start:start + 256]:
+                ids = "".join(map(list.__getitem__, tables, mask.to_bytes(width, "big")))
+                chunk.append(f"{sep}{ids[1:]}{inner}]" if ids else f"{sep[:-1]}[]")
+                sep = f",{inner}["
+            yield "".join(chunk)
+        yield close
+
+
 @per_graph
 def enumerate_perfect_matchings(g: MultiGraph) -> tuple[PerfectMatching, ...]:
     """All perfect matchings, ordered lexicographically by sorted id tuple."""
     return tuple(PerfectMatching(frozenset(ids)) for ids in matching_edge_ids(g))
+
+
+def spread_order(n: int) -> list[int]:
+    """0..n-1 in the order i*7919 mod n (in order when 7919, a prime,
+    divides n).  Canonical order lists matchings that differ in a few
+    edges next to each other, so an echelon reading rows in canonical
+    order meets long runs of dependent rows; spread order reaches full
+    rank after few more rows than the rank (K12: rank 55 after 55 of its
+    10,395 rows, against 9,451 in canonical order)."""
+    step = 7919 if n % 7919 else 1
+    return [i * step % n for i in range(n)]
 
 
 class MatchingTable(NamedTuple):
@@ -124,16 +178,16 @@ class MatchingTable(NamedTuple):
 
     Bit i of an edge mask and entry i of a row is ``g.edges[i]``; bit i
     of a face mask is ``matchings[i]``.  ``masks`` holds one edge mask per
-    matching, ``vectors`` its incidence row, ``cols`` one face mask per
-    edge (the matchings using ``g.edges[i]``), and ``stars`` one edge mask
-    per vertex (its incident edges), so the boundary of a vertex set is
-    the XOR of its stars.
+    matching, ``cols`` one face mask per edge (the matchings using
+    ``g.edges[i]``), and ``stars`` one edge mask per vertex (its incident
+    edges), so the boundary of a vertex set is the XOR of its stars.
+    Incidence rows are built from the masks (``row``) only where an exact
+    rank or lattice computation reads them.
     """
 
     matchings: tuple[PerfectMatching, ...]
     edge_pos: dict[int, int]
     masks: tuple[int, ...]
-    vectors: tuple[tuple[int, ...], ...]
     cols: tuple[int, ...]
     stars: tuple[int, ...]
     all_edges: int
@@ -169,6 +223,10 @@ class MatchingTable(NamedTuple):
             cut ^= low
         return one & ~two
 
+    def row(self, edges: int) -> list[int]:
+        """Incidence row of the edge mask ``edges``: entry i is bit i."""
+        return [edges >> i & 1 for i in range(len(self.cols))]
+
     def shore_face(self, shore: int) -> int:
         """Face mask of delta(X) for the vertex set X given as a bitmask."""
         return self.face(self.cut_mask(v for v in range(len(self.stars)) if shore >> v & 1))
@@ -198,12 +256,11 @@ def matching_table(g: MultiGraph) -> MatchingTable:
     ms = enumerate_perfect_matchings(g)
     masks = tuple(sum(1 << edge_pos[eid] for eid in m.edge_ids) for m in ms)
     e = len(g.edges)
-    vectors = tuple(tuple(m >> i & 1 for i in range(e)) for m in masks)
     # every mask as e binary digits, last matching first: the digits of edge
     # i sit every e characters, and read as one binary number they are cols[i]
     digits = "".join(format(m, f"0{e}b") for m in reversed(masks))
     cols = tuple(int(digits[e - 1 - i::e] or "0", 2) for i in range(e))
-    return MatchingTable(ms, edge_pos, masks, vectors, cols, tuple(stars), (1 << e) - 1)
+    return MatchingTable(ms, edge_pos, masks, cols, tuple(stars), (1 << e) - 1)
 
 
 def count_perfect_matchings(g: MultiGraph) -> int:

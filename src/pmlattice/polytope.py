@@ -27,24 +27,25 @@ with no rank:
   Lecture 2), so the intersection of two facets is a (d-2)-face exactly
   when no third facet holds it.
 
-Dimension is computed by rank (``members_dim``, memoized on the mask) only
-where a dimension is reported or verified: ``polytope_dim``, the face
-dimensions of ``classify_all_cuts`` that are not a facet's or P's, and
-the verifier's checks.
+Dimension is computed by rank only where a dimension is reported or
+verified.  dim P(G) (``spanning_matchings``) is certified from both sides
+and reads matching rows only until the bounds meet; a face's dimension
+(``members_dim``, memoized on the mask) is the rank of its rows, for the
+face dimensions of ``classify_all_cuts`` that are not a facet's or P's
+and for the verifier's checks.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import PreconditionViolated, TheoremFalsified, VertexCapExceeded
+from .errors import (DEFAULT_VERTEX_CAP, PreconditionViolated, TheoremFalsified,
+                     VertexCapExceeded)
 from .graph import (Cut, MultiGraph, boundary, make_cut, odd_shores, per_graph,
                     shore_complement)
-from .linalg import affine_dim
-from .matchings import MatchingTable, matching_table, require_matching_covered
-
-DEFAULT_VERTEX_CAP = 16
-DEFAULT_TRIPLE_CAP = 10  # P-TRIPLE's nested-triple exhaustion (verifier)
+from .linalg import Echelon, rank
+from .matchings import (MatchingTable, matching_table, require_matching_covered,
+                        spread_order)
 
 
 def check_cap(g: MultiGraph, max_vertices: int) -> None:
@@ -94,9 +95,39 @@ class CutClass(NamedTuple):
 
 
 @per_graph
+def spanning_matchings(g: MultiGraph) -> tuple[int, ...]:
+    """Indices of dim P(G) + 1 linearly independent matching rows, which
+    span lin(P(G)), with dim P(G) certified from both sides.
+
+    Upper bound: every matching x satisfies x(delta(v)) = 1 at each vertex
+    and x(C) = 1 on each tight cut C of the decomposition, so dim P(G) is
+    at most |E| minus the rank of those rows (equality is the
+    Edmonds-Lovasz-Pulleyblank formula |E| - |V| + 1 - b).  Lower bound:
+    the matching rows lie off the origin in an affine hyperplane, so k
+    independent ones give dim P(G) >= k - 1.  Rows are read in
+    ``spread_order`` until the bounds meet; when they never do, every row
+    is read and the rank alone is dim P(G) + 1.
+    """
+    from .decomposition import tight_cut_decomposition  # it imports this module
+
+    t = matching_table(g)
+    bounds = Echelon(len(g.edges))
+    bounds.extend(map(t.row, t.stars))
+    stack = [tight_cut_decomposition(g)]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            bounds.add(t.row(t.edge_mask(node.cut.boundary)))
+            stack.extend(node.children)
+    order = spread_order(len(t.masks))
+    raised = Echelon(len(g.edges)).extend((t.row(t.masks[i]) for i in order),
+                                          len(g.edges) - bounds.rank + 1)
+    return tuple(sorted(order[k] for k in raised))
+
+
 def dim_by_rank(g: MultiGraph) -> int:
-    """Affine dimension of the hull of matching incidence vectors."""
-    return affine_dim(matching_table(g).vectors)
+    """dim P(G) by exact rank: one less than ``spanning_matchings``."""
+    return len(spanning_matchings(g)) - 1
 
 
 def polytope_dim(g: MultiGraph) -> int:
@@ -116,11 +147,13 @@ def cut_face(g: MultiGraph, edge_set: Iterable[int]) -> int:
 
 @per_graph
 def members_dim(g: MultiGraph, face: int) -> int:
-    """Affine dimension of the face with mask ``face``."""
+    """Affine dimension of the face with mask ``face``: one less than the
+    rank of its matching rows, which lie off the origin in the affine
+    hyperplane x(delta(v)) = 1."""
     if face.bit_count() <= 2:  # no, one or two distinct points
         return face.bit_count() - 1
-    rows = matching_table(g).vectors
-    return affine_dim([rows[i] for i in _bits(face)])
+    t = matching_table(g)
+    return rank([t.row(t.masks[i]) for i in _bits(face)]) - 1
 
 
 @per_graph

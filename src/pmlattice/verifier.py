@@ -14,16 +14,16 @@ from typing import NamedTuple
 from .decomposition import (barrier_of_tight_cut, brick_count,
                             find_tight_cut, is_near_brick, parity_sets,
                             tight_shores)
-from .errors import PreconditionViolated, TheoremFalsified, VertexCapExceeded
+from .errors import (DEFAULT_TRIPLE_CAP, DEFAULT_VERTEX_CAP, PreconditionViolated,
+                     TheoremFalsified, VertexCapExceeded)
 from .graph import (MultiGraph, contract_shore, cut_contractions,
                     is_bipartite, is_petersen, make_cut,
                     shore_complement, shore_index_map)
 from .linalg import lattice_member
 from .matchings import matching_covered, matching_table
-from .polytope import (DEFAULT_TRIPLE_CAP, DEFAULT_VERTEX_CAP, check_cap,
-                       cut_face, cuts_equivalent, dim_by_rank, enumerate_codim2_faces,
-                       enumerate_facets, facet_incidence, is_bvn, is_separating,
-                       members_dim, polytope_dim, separating_cuts,
+from .polytope import (check_cap, cut_face, cuts_equivalent, dim_by_rank,
+                       enumerate_codim2_faces, enumerate_facets, facet_incidence, is_bvn,
+                       is_separating, members_dim, polytope_dim, separating_cuts,
                        separating_facet_defining_cuts, shore_faces, uncross)
 
 

@@ -3,7 +3,11 @@
 The oracles here deliberately avoid the library's own code paths: brute
 force over edge subsets for matchings, permanent recursion for bipartite
 counts, per-edge BFS for girth, a separate fraction elimination for
-ranks, and a scan of every odd shore for tight cuts.  They are slower and
+ranks, and a scan of every odd shore for tight cuts.  The library's
+earlier exact linear algebra is kept too: Bareiss rank, the column-by-column
+HNF (with its unimodular transform) and the double-kernel saturation,
+always over every row given; and its earlier argparse command-line
+grammar.  They are slower and
 dumber on purpose.  The facial oracles keep the library's earlier
 implementation: faces counted matching by matching, facets and codim-2
 faces found by exact rank, and separating cuts by contracting both sides.
@@ -11,6 +15,7 @@ faces found by exact rank, and separating cuts by contracting both sides.
 
 from __future__ import annotations
 
+import argparse
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
@@ -18,8 +23,9 @@ from typing import NamedTuple
 import pytest
 
 from pmlattice.corpus import CORPUS_NAMES, corpus_graph
+from pmlattice.errors import DEFAULT_TRIPLE_CAP, DEFAULT_VERTEX_CAP
 from pmlattice.graph import MultiGraph, cut_contractions, make_cut, odd_shores
-from pmlattice.linalg import affine_dim
+from pmlattice.linalg import Lattice, affine_dim, xgcd
 from pmlattice.matchings import (enumerate_perfect_matchings, matching_covered,
                                  matching_table)
 
@@ -120,6 +126,127 @@ def oracle_rank(rows) -> int:
     return r
 
 
+def bareiss_rank(rows) -> int:
+    """Exact rank of an integer matrix by fraction-free (Bareiss)
+    elimination over every row."""
+    rows = [list(r) for r in rows if any(r)]
+    rnk, prev = 0, 1
+    while rows:
+        prow = rows.pop()
+        col = next(j for j, x in enumerate(prow) if x)
+        p = prow[col]
+        rest = []
+        for row in rows:
+            a = row[col]
+            if a:
+                row = [(p * x - a * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                row = [p * x // prev for x in row]
+            if any(row):
+                rest.append(row)
+        rows, prev = rest, p
+        rnk += 1
+    return rnk
+
+
+def _hnf_rows(m, transform=False):
+    """Row HNF of m column by column; optionally the unimodular U with
+    U m = H (zero rows kept)."""
+    width = len(m[0]) if m else 0
+    rows = [list(map(int, r)) for r in m]
+    nrows = len(rows)
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if transform else []
+    r = 0
+    for col in range(width):
+        piv = None
+        for i in range(r, nrows):
+            if rows[i][col] == 0:
+                continue
+            if piv is None:
+                piv = i
+                continue
+            a, b = rows[piv][col], rows[i][col]
+            g, s, t = xgcd(a, b)
+            va, vb = a // g, b // g
+            rp, ri = rows[piv], rows[i]
+            for j in range(width):
+                pj, ij = rp[j], ri[j]
+                rp[j] = s * pj + t * ij
+                ri[j] = -vb * pj + va * ij
+            if transform:
+                up, ui = u[piv], u[i]
+                for j in range(nrows):
+                    pj, ij = up[j], ui[j]
+                    up[j] = s * pj + t * ij
+                    ui[j] = -vb * pj + va * ij
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        if transform:
+            u[r], u[piv] = u[piv], u[r]
+        if rows[r][col] < 0:
+            rows[r] = [-x for x in rows[r]]
+            if transform:
+                u[r] = [-x for x in u[r]]
+        p = rows[r][col]
+        for i in range(r):
+            q = rows[i][col] // p
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+                if transform:
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+        r += 1
+    return rows[:r] + [[0] * width for _ in range(nrows - r)], u
+
+
+def oracle_hnf(m, ambient_dim: int) -> Lattice:
+    """Canonical row HNF of every row of ``m``, column by column."""
+    rows, _ = _hnf_rows(m)
+    return Lattice(ambient_dim, tuple(tuple(r) for r in rows if any(r)))
+
+
+def _oracle_kernel(m, n: int) -> Lattice:
+    if not m:
+        return oracle_hnf([[int(i == j) for j in range(n)] for i in range(n)], n)
+    mt = [[row[i] for row in m] for i in range(n)]
+    h, u = _hnf_rows(mt, transform=True)
+    kernel_rows = [u[i] for i in range(len(h)) if not any(h[i])]
+    return oracle_hnf(kernel_rows, n) if kernel_rows else Lattice(n, ())
+
+
+def oracle_saturation(m, n: int) -> Lattice:
+    """Integer points of the rational span of every row of ``m``: the
+    kernel of its integer kernel."""
+    ker = _oracle_kernel(m, n)
+    if not ker.basis:
+        return oracle_hnf([[int(i == j) for j in range(n)] for i in range(n)], n)
+    return _oracle_kernel([list(r) for r in ker.basis], n)
+
+
+def oracle_index(sub: Lattice, sup: Lattice) -> int:
+    """[sup : sub] for canonical bases of equal rank with sub inside sup:
+    both are echelon with the same pivot columns, so the index is the
+    ratio of their pivot products."""
+    assert sub.rank == sup.rank
+
+    def pivots(lat):
+        out = 1
+        for row in lat.basis:
+            out *= next(x for x in row if x)
+        return out
+
+    index, rem = divmod(pivots(sub), pivots(sup))
+    assert rem == 0
+    return index
+
+
+def matching_rows(g: MultiGraph) -> list[list[int]]:
+    """Incidence row of every perfect matching, in enumeration order,
+    decoded from the frozensets (entry i is edge ``g.edges[i]``)."""
+    return [[int(eid in m.edge_ids) for eid, _, _ in g.edges]
+            for m in enumerate_perfect_matchings(g)]
+
+
 def oracle_affine_dim(points) -> int:
     if not points:
         return -1
@@ -195,7 +322,7 @@ def oracle_faces(g: MultiGraph) -> OracleFaces:
     shore exposes a facet when its face has dimension d-1, and two facets
     meet in a codim-2 face when their intersection has dimension d-2."""
     table = matching_table(g)
-    rows = table.vectors
+    rows = [[m >> j & 1 for j in range(len(g.edges))] for m in table.masks]
     dims: dict[int, int] = {}
 
     def dim(face: int) -> int:
@@ -220,3 +347,73 @@ def oracle_faces(g: MultiGraph) -> OracleFaces:
     masks = list(facets)
     codim2 = {a & b for i, a in enumerate(masks) for b in masks[i + 1:] if dim(a & b) == d - 2}
     return OracleFaces(d, {m: (sorted(e), s) for m, (e, s) in facets.items()}, codim2, classes)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's earlier argparse grammar, the oracle for ``cli.parse_args``
+    (which no longer accepts abbreviated option names)."""
+    p = argparse.ArgumentParser(
+        prog="pmlattice",
+        description="Exact analysis of perfect matching polytopes and lattices.",
+        allow_abbrev=False)
+
+    def common(sp):
+        sp.add_argument("--input", help="GraphFile JSON path")
+        sp.add_argument("--output", help="write the report to this path instead of stdout")
+        sp.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_CAP,
+                        help="vertex cap for exponential scans (default %(default)s)")
+        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--timing", action="store_true",
+                        help="include wall time in the report (breaks byte determinism)")
+
+    sub = p.add_subparsers(dest="command", required=True)
+
+    pm = sub.add_parser("pm", help="perfect matchings", allow_abbrev=False)
+    pm.add_argument("action", choices=["list", "count"])
+    common(pm)
+
+    poly = sub.add_parser("polytope", help="dimension and faces of P(G)", allow_abbrev=False)
+    poly.add_argument("action", choices=["dim", "facets", "codim2"])
+    common(poly)
+
+    cuts = sub.add_parser("cuts", help="odd cut classification", allow_abbrev=False)
+    cuts.add_argument("action", choices=["classify", "tight", "separating", "facet"])
+    common(cuts)
+
+    dec = sub.add_parser("decompose", help="tight cut decomposition", allow_abbrev=False)
+    common(dec)
+
+    bvn = sub.add_parser("bvn", help="Birkhoff-von-Neumann test", allow_abbrev=False)
+    common(bvn)
+
+    inter = sub.add_parser("intersect", help="find a matching meeting a separating "
+                                             "facet-defining cut three times",
+                           allow_abbrev=False)
+    common(inter)
+
+    bas = sub.add_parser("basis", help="integral or lattice basis of matchings",
+                         allow_abbrev=False)
+    bas.add_argument("action", choices=["integral", "lattice"])
+    common(bas)
+
+    char = sub.add_parser("characterize", help="matching lattice vs parity-constrained saturation",
+                          allow_abbrev=False)
+    common(char)
+
+    ver = sub.add_parser("verify", help="run catalog properties", allow_abbrev=False)
+    ver.add_argument("property_id", nargs="?", default=None,
+                     help="property id or 'all' (default all)")
+    ver.add_argument("--property", default=None, help="property id (overrides positional)")
+    ver.add_argument("--triple-cap", type=int, default=DEFAULT_TRIPLE_CAP,
+                     help="vertex cap for the nested-triple exhaustion (default %(default)s)")
+    common(ver)
+
+    cor = sub.add_parser("corpus", help="bundled and generated graphs", allow_abbrev=False)
+    cor.add_argument("action", choices=["list", "emit", "random"])
+    cor.add_argument("name", nargs="?", default=None, help="graph name for 'emit'")
+    cor.add_argument("--vertices", type=int, default=None, help="vertex count for 'random'")
+    cor.add_argument("--matchings", type=int, default=3,
+                     help="extra random matchings unioned in (default %(default)s)")
+    common(cor)
+
+    return p

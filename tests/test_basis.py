@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,12 +10,22 @@ from pmlattice.basis import (Basis, characterize_lattice,
                              matching_saturation, merge_bases,
                              merge_coefficients, near_brick_petersen_basis,
                              pm_linear_basis)
+from pmlattice.corpus import random_matching_covered
 from pmlattice.decomposition import canonical_parity_cycle, petersen_bricks
 from pmlattice.errors import PreconditionViolated
-from pmlattice.graph import boundary, cut_contractions, five_cycles, make_cut
+from pmlattice.graph import MultiGraph, boundary, cut_contractions, five_cycles, make_cut
 from pmlattice.linalg import hnf, lattice_equal, lattice_index, rank
-from pmlattice.matchings import enumerate_perfect_matchings, incidence_vectors
-from pmlattice.polytope import separating_cuts
+from pmlattice.matchings import (MatchingTable, enumerate_perfect_matchings,
+                                 incidence_vectors, matching_table)
+from pmlattice.polytope import dim_by_rank, separating_cuts
+
+from conftest import (bareiss_rank, matching_rows, oracle_hnf, oracle_index,
+                      oracle_saturation)
+
+
+def _random_graphs():
+    """Seeded random matching-covered graphs on 4 to 14 vertices."""
+    return [random_matching_covered(seed, n, 3)[1] for n in range(4, 16, 2) for seed in range(3)]
 
 
 def _rng_coefficients(ctx, rng, integral=False):
@@ -99,8 +110,7 @@ def test_coefficient_transfer_unit_case(corpus):
 
 def test_coefficient_transfer_integrality_and_reconstruction(corpus):
     rng = random.Random(42)
-    for name in ("prism", "c6", "petersen"):
-        g = corpus[name]
+    for g in [corpus[name] for name in ("prism", "c6", "petersen")] + _random_graphs():
         for cut in separating_cuts(g)[:2]:
             ks, kc = cut_contractions(g, cut.shore_set)
             res = merge_bases(g, cut, pm_linear_basis(ks), pm_linear_basis(kc))
@@ -278,3 +288,61 @@ def test_saturation_index_is_power_of_two(corpus):
         idx = lattice_index(matching_lattice(g), matching_saturation(g))
         assert idx in (1, 2), name
         assert (idx == 2) == bool(petersen_bricks(g)), name
+
+
+def _oracle_graphs(corpus):
+    """Every corpus graph, both cut-contractions of its first separating
+    cuts, and the seeded random graphs."""
+    out = list(corpus.values())
+    for g in corpus.values():
+        for cut in separating_cuts(g)[:3]:
+            out += cut_contractions(g, cut.shore_set)
+    return out + _random_graphs()
+
+
+def test_certified_dim_and_lattices_match_full_row_oracles(corpus):
+    """The certified dimension, the saturation of the spanning rows, the
+    lattice that stops at its saturation and the characterization's index
+    equal the oracles computed over every matching row."""
+    for g in _oracle_graphs(corpus):
+        rows = matching_rows(g)
+        n = len(g.edges)
+        lat, sat = oracle_hnf(rows, n), oracle_saturation(rows, n)
+        assert dim_by_rank(g) == bareiss_rank(rows) - 1, g
+        assert matching_saturation(g) == sat, g
+        assert matching_lattice(g) == lat, g
+        index = oracle_index(lat, sat)
+        assert lattice_index(matching_lattice(g), matching_saturation(g)) == index, g
+        assert characterize_lattice(g).index == index == (2 if petersen_bricks(g) else 1), g
+
+
+def _rows_read_by_lattice(monkeypatch, g) -> int:
+    """Rows that ``matching_lattice`` builds from the table, its saturation
+    being known already."""
+    matching_saturation(g)
+    reads = []
+    row = MatchingTable.row
+    monkeypatch.setattr(MatchingTable, "row", lambda t, edges: reads.append(edges) or row(t, edges))
+    matching_lattice(g)
+    monkeypatch.undo()
+    return len(reads)
+
+
+def _edge_ids_reversed(g: MultiGraph) -> MultiGraph:
+    """The same graph with edge ids reversed: unequal to g, so its memo is fresh."""
+    top = max(g.edge_ids)
+    return MultiGraph(g.vertex_count, tuple(sorted((top - eid, u, v) for eid, u, v in g.edges)))
+
+
+def test_matching_lattice_stops_at_its_saturation(corpus, monkeypatch):
+    """Without a Petersen brick L = S and the scan stops within twice the
+    rank (K10: 60 of 945 rows, rank 36); with one, L != S and every row
+    is read."""
+    k10 = _edge_ids_reversed(MultiGraph.from_pairs(10, list(itertools.combinations(range(10), 2))))
+    assert _rows_read_by_lattice(monkeypatch, k10) <= 2 * matching_saturation(k10).rank
+    assert matching_lattice(k10) == matching_saturation(k10)
+    for name in ("petersen", "petersen-parallel", "pete-k4-splice"):
+        g = _edge_ids_reversed(corpus[name])
+        assert _rows_read_by_lattice(monkeypatch, g) == len(matching_table(g).masks), name
+        assert matching_lattice(g) == oracle_hnf(matching_rows(g), len(g.edges)) \
+            != matching_saturation(g), name

@@ -22,6 +22,8 @@ from pmlattice.corpus import (CORPUS_NAMES, corpus_graph, dump_graph_file,
 from pmlattice.graph import MultiGraph
 from pmlattice.matchings import is_matching_covered
 
+from conftest import build_parser
+
 
 def test_corpus_names_and_coverage():
     assert len(CORPUS_NAMES) == 10
@@ -312,6 +314,74 @@ def test_cli_fresh_process_matches_in_process(tmp_path, capsys):
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, ""), command
 
 
+_VALID_ARGV = [
+    *[[command, action, "--input", "g.json"] for command, actions in (
+        ("pm", ("list", "count")), ("polytope", ("dim", "facets", "codim2")),
+        ("cuts", ("classify", "tight", "separating", "facet")),
+        ("basis", ("integral", "lattice"))) for action in actions],
+    *[[command, "--input=g.json"] for command in ("decompose", "bvn", "intersect",
+                                                  "characterize", "verify")],
+    ["pm", "--input", "g.json", "count"],
+    ["pm", "count", "--max-vertices", "20", "--seed=-3", "--timing", "--output", "o.json"],
+    ["cuts", "--max-vertices=18", "tight", "--input", "-", "--seed", "7"],
+    ["bvn", "--seed", "1", "--seed", "2", "--input", "a", "--input=b"],
+    ["decompose", "--input", "-1", "--output=-x", "--seed", "+5"],
+    ["polytope", "dim", "--input", "a b", "--input", "-a b"],
+    ["verify", "P-DIM", "--input", "g.json"],
+    ["verify", "--input", "g.json", "all", "--triple-cap", "8"],
+    ["verify", "--property", "P-2X", "--triple-cap=12", "--input", "g.json"],
+    ["verify", "--property=P-DIM", "P-LEMMA"],
+    ["corpus", "list"],
+    ["corpus", "emit", "prism"],
+    ["corpus", "emit", "prism", "--output", "p.json"],
+    ["corpus", "--seed", "5", "random", "--vertices", "8", "--matchings", "-1"],
+    ["corpus", "random", "--vertices=10", "--seed=4", "--matchings=2", "--max-vertices", "20"],
+    ["pm", "--", "count"],
+    ["verify", "--input", "g", "--", "-P"],
+]
+
+_INVALID_ARGV = [
+    [], ["bogus"], ["--input", "g.json", "pm", "count"], ["pm"], ["pm", "bogus"],
+    ["pm", "count", "extra"], ["pm", "count", "--bogus"], ["pm", "count", "--max-v", "20"],
+    ["pm", "count", "--inp=g.json"], ["pm", "count", "--seed"], ["pm", "count", "--seed", "x"],
+    ["pm", "count", "--seed=x"], ["pm", "count", "--max-vertices", "1.5"],
+    ["pm", "count", "--timing=1"], ["pm", "count", "--input", "--timing"],
+    ["pm", "count", "--input", "-x"], ["pm", "-x", "count"],
+    ["corpus", "emit", "--output", "o.json", "prism"], ["verify", "a", "b"],
+    ["decompose", "x"], ["polytope", "--input", "g.json"], ["verify", "--triple-cap"],
+    ["pm", "count", "--", "--input"], ["corpus", "bogus", "prism"],
+]
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGV, ids=" ".join)
+def test_cli_parser_matches_the_argparse_grammar(argv):
+    assert vars(cli.parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", _INVALID_ARGV, ids=" ".join)
+def test_cli_usage_errors_exit_2_with_a_report(argv, capsys):
+    with pytest.raises(SystemExit) as raised:
+        build_parser().parse_args(argv)
+    assert raised.value.code == 2
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    report = json.loads(captured.out)
+    assert report["status"] == "error" and report["graph"] is None
+    assert {k: report["result"][k] for k in ("error", "reason")} == \
+        {"error": "precondition", "reason": "usage"}
+
+
+def test_cli_help_exits_0(capsys):
+    for argv, heading in ((["-h"], "usage: pmlattice [-h]"), (["pm", "count", "--help"],
+                                                               "usage: pmlattice pm [-h]")):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        captured = capsys.readouterr()
+        assert raised.value.code == 0 and captured.out.startswith(heading) and not captured.err
+
+
 def test_cli_import_loads_no_unused_module():
     """``import pmlattice`` loads no submodule, and ``import pmlattice.cli``
     loads none of the modules that only some commands use, counted against
@@ -323,9 +393,24 @@ def test_cli_import_loads_no_unused_module():
     after_package, after_cli = map(ast.literal_eval, proc.stdout.splitlines())
     assert [m for m in after_package if m.startswith("pmlattice.")] == []
     assert "pmlattice.cli" in after_cli
-    unused = {"dataclasses", "inspect", "fractions", "pmlattice.basis",
-              "pmlattice.decomposition", "pmlattice.verifier"}
+    unused = {"argparse", "gettext", "locale", "dataclasses", "inspect", "fractions",
+              "pmlattice.basis", "pmlattice.decomposition", "pmlattice.linalg",
+              "pmlattice.polytope", "pmlattice.verifier"}
     assert unused & set(after_cli) == set()
+
+
+def test_cli_commands_without_coefficients_load_no_fractions(tmp_path):
+    """Only ``merge_coefficients`` needs ``fractions`` (which imports
+    ``decimal``); the lattice and basis commands run without it."""
+    path = tmp_path / "k4.json"
+    path.write_text(dump_graph_file("k4", corpus_graph("k4")))
+    for command in (["intersect"], ["basis", "integral"], ["characterize"]):
+        proc = _fresh_python("-c", "import sys; from pmlattice.cli import main; "
+                                   "code = main(sys.argv[1:]); "
+                                   "print(sorted({'fractions', 'decimal'} & set(sys.modules)), "
+                                   "file=sys.stderr); sys.exit(code)",
+                             *command, "--input", str(path))
+        assert proc.stderr == "[]\n", (command, proc.stderr)
 
 
 def test_cli_verify_help_reads_the_triple_cap(capsys):
@@ -378,7 +463,7 @@ def test_every_report_equals_json_dumps_of_its_result(tmp_path, capsys):
         for command in GRAPH_COMMANDS:
             argv = command + ["--input", str(path)]
             code, out = _run(argv, capsys)
-            report, want_code = cli._run(cli.build_parser().parse_args(argv))
+            report, want_code = cli._run(cli.parse_args(argv))
             assert (code, out) == (want_code, json.dumps(report, indent=2, default=list) + "\n"), \
                 (name, command)
 

@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import threading
+import time
 from itertools import permutations
 from pathlib import Path
 
@@ -321,6 +322,52 @@ def test_memo_shared_across_threads(corpus):
     # a lost update would break these counts
     assert info.hits + info.misses == 8 * rounds * len(names)
     assert info.currsize == len(names)
+
+
+class _YieldingKey:
+    """A memo argument whose hash gives up the interpreter lock."""
+
+    def __init__(self, i: int):
+        self.i = i
+
+    def __hash__(self) -> int:
+        time.sleep(0)
+        return self.i
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _YieldingKey) and other.i == self.i
+
+
+def test_memo_counts_survive_a_thread_switch_inside_the_key_hash():
+    """8 threads each memoize 50 distinct arguments of one graph.  Hashing
+    an argument sleeps, so another thread runs inside the memo's
+    read-modify-write of its entry count (``counts[2] += key not in memo``
+    reads the count before it hashes the key); only the lock keeps every
+    entry and call counted."""
+    g = MultiGraph.from_pairs(4, ((0, 1), (2, 3), (1, 2)))
+    per_thread = 50
+
+    @per_graph
+    def index_of(g, key):
+        return key.i
+
+    def work(t):
+        for k in range(per_thread):
+            index_of(g, _YieldingKey(t * per_thread + k))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    info = index_of.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 8 * per_thread, 8 * per_thread)
 
 
 def test_only_the_memo_root_uses_lru_cache():

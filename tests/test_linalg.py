@@ -10,12 +10,13 @@ from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 from sympy.polys.domains import ZZ
 
 from pmlattice.corpus import corpus_graph, random_matching_covered
-from pmlattice.linalg import (Lattice, affine_dim, gf2_kernel, hnf,
+from pmlattice.linalg import (Echelon, Lattice, affine_dim, gf2_kernel, hnf,
                               integer_kernel, lattice_equal, lattice_index,
                               lattice_member, rank, saturation, snf, xgcd)
 from pmlattice.matchings import enumerate_perfect_matchings, incidence_vectors
 
-from conftest import oracle_affine_dim, oracle_rank
+from conftest import (bareiss_rank, oracle_affine_dim, oracle_hnf, oracle_rank,
+                      oracle_saturation)
 
 
 def _petersen_vectors():
@@ -80,6 +81,33 @@ _FRACTIONS = (st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),)
 @given(_matrices(_INTEGERS))
 def test_rank_matches_oracles_on_integer_matrices(rows):
     assert rank(rows) == oracle_rank(rows) == _sympy_rank(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(_INTEGERS), st.data())
+def test_echelon_matches_oracles_at_a_target(rows, data):
+    """Rows go into one ``Echelon`` until a random target rank: it stops
+    there (or at the full rank), each reported row raised the rank of the
+    rows before it, and its lattice is the full HNF oracle's once every row
+    went in."""
+    width = len(rows[0]) if rows else 0
+    full = oracle_rank(rows)
+    assert full == bareiss_rank(rows) == _sympy_rank(rows)
+    target = data.draw(st.integers(0, width))
+    ech = Echelon(width)
+    raised = ech.extend(rows, target)
+    assert ech.rank == len(raised) == min(target, full)
+    for i in raised:
+        assert oracle_rank(rows[:i + 1]) == oracle_rank(rows[:i]) + 1
+    # the rows read: up to the one reaching the target, or all of them
+    stop = (raised[-1] + 1 if raised else 0) if ech.rank == target else len(rows)
+    assert oracle_rank(rows[:stop]) == ech.rank
+    ech = Echelon(width)
+    assert [i for i, row in enumerate(rows) if ech.add(row)] == \
+        [i for i in range(len(rows)) if oracle_rank(rows[:i + 1]) > oracle_rank(rows[:i])]
+    if width:
+        assert ech.lattice() == hnf(rows) == oracle_hnf(rows, width)
+        assert saturation(rows) == oracle_saturation(rows, width)
 
 
 @settings(max_examples=100, deadline=None)

@@ -70,12 +70,13 @@ def test_records_are_values():
 
 
 def test_caps_have_one_owner():
-    """Every DEFAULT_*_CAP is assigned in polytope only; the verifier and
-    the CLI import it from there."""
+    """Every DEFAULT_*_CAP is assigned in errors only, beside the
+    VertexCapExceeded it bounds; polytope, the verifier and the CLI import
+    it from there."""
     owners = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Assign):
                 owners += [f"{path.stem}.{t.id}" for t in node.targets
                            if isinstance(t, ast.Name) and t.id.startswith("DEFAULT_")]
-    assert sorted(owners) == ["polytope.DEFAULT_TRIPLE_CAP", "polytope.DEFAULT_VERTEX_CAP"]
+    assert sorted(owners) == ["errors.DEFAULT_TRIPLE_CAP", "errors.DEFAULT_VERTEX_CAP"]

@@ -77,7 +77,7 @@ def test_separating_definitions_agree(corpus):
 
 def _assert_faces_match_oracle(g: MultiGraph) -> None:
     table = matching_table(g)
-    assert list(table.vectors) == incidence_vectors(g, table.matchings)
+    assert [tuple(table.row(m)) for m in table.masks] == incidence_vectors(g, table.matchings)
     brute = brute_force_matchings(g)
     for shore, (members, covers) in oracle_odd_faces(g).items():
         cut = boundary(g, shore)
