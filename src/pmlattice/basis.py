@@ -68,7 +68,7 @@ def pm_linear_basis(g: MultiGraph) -> Basis:
     require_matching_covered(g)
     t = matching_table(g)
     raised = Echelon(len(g.edges)).extend(map(t.row, t.masks), dim_by_rank(g) + 1)
-    picked = [t.matchings[i] for i in raised]
+    picked = [enumerate_perfect_matchings(g)[i] for i in raised]
     if len(picked) != dim_by_rank(g) + 1:
         raise TheoremFalsified("matchings span lin(P(G))", {
             "picked": len(picked), "dim": dim_by_rank(g)})
@@ -373,9 +373,9 @@ def find_intersection_pair(g: MultiGraph,
     cuts = separating_facet_defining_cuts(g, max_vertices)
     bounds = [t.edge_mask(c.boundary) for c in cuts]
     for cut, b in zip(cuts, bounds):
-        m = t.three_crossing(b)
-        if m is not None:
-            return IntersectionPair(m, cut)
+        i = t.three_crossing(b)
+        if i is not None:
+            return IntersectionPair(enumerate_perfect_matchings(g)[i], cut)
     raise TheoremFalsified("a 3-intersecting (matching, cut) pair exists", {
         "vertex_count": g.vertex_count,
         "edges": [[eid, u, v] for eid, u, v in sorted(g.edges)],
@@ -444,12 +444,12 @@ def _bvn_integral_elements(g: MultiGraph) -> tuple[PerfectMatching, ...]:
     if lattice_equal(_span_lattice(g, greedy), want):
         return greedy
     need = dim_by_rank(g) + 1
-    for combo in itertools.combinations(range(len(t.matchings)), need):
+    for combo in itertools.combinations(range(len(t.masks)), need):
         vecs = [t.row(t.masks[i]) for i in combo]
         if rank(vecs) == need and lattice_equal(hnf(vecs, len(g.edges)), want):
-            return tuple(t.matchings[i] for i in combo)
+            return tuple(enumerate_perfect_matchings(g)[i] for i in combo)
     raise TheoremFalsified("a BvN matching polytope admits an integral matching basis", {
-        "vertex_count": g.vertex_count, "matchings": len(t.matchings)})
+        "vertex_count": g.vertex_count, "matchings": len(t.masks)})
 
 
 class _GuidedStall(Exception):
@@ -521,9 +521,9 @@ def _adjust_cut(g: MultiGraph, cut: Cut, m: PerfectMatching,
                 continue
             if not is_separating(g, d_cut.shore) or not _sides_petersen_free(g, d_cut):
                 continue
-            m2 = t.three_crossing(t.edge_mask(d_cut.boundary))
-            if m2 is not None:
-                return d_cut, m2
+            i = t.three_crossing(t.edge_mask(d_cut.boundary))
+            if i is not None:
+                return d_cut, enumerate_perfect_matchings(g)[i]
         raise _GuidedStall
 
     try:
@@ -532,9 +532,9 @@ def _adjust_cut(g: MultiGraph, cut: Cut, m: PerfectMatching,
         for c2 in separating_facet_defining_cuts(g, max_vertices):
             if not _sides_petersen_free(g, c2):
                 continue
-            m2 = t.three_crossing(t.edge_mask(c2.boundary))
-            if m2 is not None:
-                return c2, m2
+            i = t.three_crossing(t.edge_mask(c2.boundary))
+            if i is not None:
+                return c2, enumerate_perfect_matchings(g)[i]
         raise TheoremFalsified(
             "a separating facet-defining cut with Petersen-free sides and a "
             "3-crossing matching exists", {
@@ -647,7 +647,6 @@ def characterize_lattice(g: MultiGraph) -> LatticeCharacterization:
     Equality or 2x-membership failures raise a falsification certificate.
     """
     require_matching_covered(g)
-    ms = enumerate_perfect_matchings(g)
     lat = matching_lattice(g)
     sat = matching_saturation(g)
     psets = parity_sets(g)
@@ -674,7 +673,7 @@ def characterize_lattice(g: MultiGraph) -> LatticeCharacterization:
         two_x = all(lattice_member(lat, [2 * x for x in row]) is not None
                     for row in sat.basis)
     report = LatticeCharacterization(
-        len(ms), lat.rank, int(index),
+        len(matching_table(g).masks), lat.rank, int(index),
         tuple(tuple(sorted(a)) for a in psets),
         equality, two_x, lat, sat)
     if not equality or two_x is False:

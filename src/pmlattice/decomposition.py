@@ -59,7 +59,7 @@ def tight_shores(g: MultiGraph) -> list[tuple[int, ...]]:
     star = t.stars
     # (vertex mask, boundary mask) of every union of M0 pairs
     unions = [(0, 0)]
-    for _, u, v in (e for e in g.edges if e[0] in t.matchings[0]):
+    for _, u, v in (e for e in g.edges if t.masks[0] >> t.edge_pos[e[0]] & 1):
         unions += [(vm | 1 << u | 1 << v, bm ^ star[u] ^ star[v]) for vm, bm in unions]
     out = []
     for vm, bm in unions:

@@ -163,10 +163,17 @@ class Cut(NamedTuple):
         return frozenset(self.shore)
 
 
-def make_cut(g: MultiGraph, vertices: Iterable[int]) -> Cut:
+def _proper_shore(g: MultiGraph, vertices: Iterable[int]) -> frozenset[int]:
+    """``vertices`` as a set, checked to be a nonempty proper subset of
+    0..n-1; the one shore check of ``make_cut`` and ``contract_shore``."""
     vs = frozenset(vertices)
-    if not vs or len(vs) >= g.vertex_count:
-        raise PreconditionViolated("bad_shore", "cut shore must be a nonempty proper subset")
+    if not vs or len(vs) >= g.vertex_count or not 0 <= min(vs) <= max(vs) < g.vertex_count:
+        raise PreconditionViolated("bad_shore", "shore must be a nonempty proper subset of 0..n-1")
+    return vs
+
+
+def make_cut(g: MultiGraph, vertices: Iterable[int]) -> Cut:
+    vs = _proper_shore(g, vertices)
     comp = shore_complement(g, vs)
     side = min(tuple(sorted(vs)), tuple(sorted(comp)))
     return Cut(side, boundary(g, side))
@@ -195,9 +202,7 @@ def contract_shore(g: MultiGraph, shore: Iterable[int]) -> MultiGraph:
     inside the complement are deleted; all surviving edges keep their ids,
     so parallel edges created by the contraction remain distinct.
     """
-    vs = frozenset(shore)
-    if not vs or len(vs) >= g.vertex_count:
-        raise PreconditionViolated("bad_shore", "contraction shore must be a nonempty proper subset")
+    vs = _proper_shore(g, shore)
     index = shore_index_map(vs)
     c = len(vs)
     new_edges = []

@@ -3,27 +3,27 @@ table, matching-covered testing, matching surgery across cuts, and integer
 decomposition of points of kP.
 
 Enumeration is exhaustive backtracking over the least-index uncovered
-vertex, on an explicit stack, into one int per matching
-(``matching_masks``); the matchings (and so the table), the matching-covered
-verdict and ``pm list`` decode those masks.  Counting walks the same search tree but
-merges its nodes by the set of uncovered vertices, so it never lists a
-matching and costs at most what enumeration costs (K16's 2,027,025
-matchings are counted through 1,597 vertex sets).
+vertex, on an explicit stack, into one int per matching (``matching_masks``,
+bit b the edge of the b-th largest id).  That is the one matching layout:
+the table, the matching-covered verdict and ``pm list`` read the masks, and
+``enumerate_perfect_matchings`` decodes them only for callers that return
+matchings.  Counting walks the same search tree but merges its nodes by the
+set of uncovered vertices, so it never lists a matching and costs at most
+what enumeration costs (K16's 2,027,025 matchings are counted through 1,597
+vertex sets).
 
-``matching_table(g)`` is the one place matchings become bitmasks and
-rows: an edge mask per matching (its incidence row is built from the mask
-when an exact rank or lattice computation reads it), a star mask per
-vertex, and per edge the set of matchings using it (``cols``, the
-column-major transpose of the edge masks), built once per graph.  A face is
-an int mask over matching indices; every face, dimension, crossing-count and
-cut-equivalence query in ``polytope``, ``decomposition``, ``verifier`` and
-``basis`` reads the table, and ``PerfectMatching.incidence_on`` is left to
-bases made of merged matchings.  Faces of cuts and of ``x_e = 0`` are read
-from ``cols``: the matchings meeting a cut exactly once come from a two-level
-bit-sliced counter over the cut's edge columns (Knuth, TAOCP 4A 7.1.3), so a
-face costs a few big-int operations per cut edge rather than one test per
-matching.  The masks, matchings, table and matching-covered
-verdict are kept in the graph's memo (``graph.per_graph``).
+``matching_table(g)`` keeps the masks with indices over their bits: the
+edge id of each bit, a star mask per vertex, and per edge the set of
+matchings using it (``cols``, the column-major transpose of the masks),
+built once per graph.  A face is an int mask over matching indices; every
+face, dimension, crossing-count and cut-equivalence query in ``polytope``,
+``decomposition``, ``verifier`` and ``basis`` reads the table, and an
+incidence row is built from a mask only where an exact rank or lattice
+computation reads it.  The face of a cut is a two-level bit-sliced counter
+over its edges' ``cols`` (Knuth, TAOCP 4A 7.1.3): a few big-int operations
+per cut edge rather than one test per matching.  The masks, matchings,
+table and matching-covered verdict are kept in the graph's memo
+(``graph.per_graph``).
 """
 
 from __future__ import annotations
@@ -96,9 +96,9 @@ def matching_masks(g: MultiGraph) -> tuple[int, ...]:
     return tuple(found)
 
 
-def _edge_ids_by_bit(g: MultiGraph) -> list[int]:
+def _edge_ids_by_bit(g: MultiGraph) -> tuple[int, ...]:
     """Entry b is the edge id of bit b of a ``matching_masks`` mask."""
-    return sorted(g.edge_ids, reverse=True)
+    return tuple(sorted(g.edge_ids, reverse=True))
 
 
 def matching_edge_ids(g: MultiGraph) -> Iterator[list[int]]:
@@ -173,24 +173,24 @@ def spread_order(n: int) -> list[int]:
 
 
 class MatchingTable(NamedTuple):
-    """The perfect matchings of one graph as bitmasks and incidence rows;
+    """The perfect matchings of one graph as the masks of ``matching_masks``;
     every face query is answered from it.
 
-    Bit i of an edge mask and entry i of a row is ``g.edges[i]``; bit i
-    of a face mask is ``matchings[i]``.  ``masks`` holds one edge mask per
-    matching, ``cols`` one face mask per edge (the matchings using
-    ``g.edges[i]``), and ``stars`` one edge mask per vertex (its incident
-    edges), so the boundary of a vertex set is the XOR of its stars.
-    Incidence rows are built from the masks (``row``) only where an exact
-    rank or lattice computation reads them.
+    Bit b of an edge mask is edge ``ids[b]`` (``edge_pos`` inverts it), and
+    bit i of a face mask is matching i (``enumerate_perfect_matchings(g)[i]``
+    decodes it where one is returned).  ``cols`` holds one face mask per
+    edge bit (the matchings using it) and ``stars`` one edge mask per vertex,
+    so the boundary of a vertex set is the XOR of its stars.  Rows (``row``)
+    are in ``g.edges`` order, entry i being bit ``row_bits[i]``, and are
+    built only where an exact rank or lattice computation reads them.
     """
 
-    matchings: tuple[PerfectMatching, ...]
+    ids: tuple[int, ...]
     edge_pos: dict[int, int]
     masks: tuple[int, ...]
     cols: tuple[int, ...]
     stars: tuple[int, ...]
-    all_edges: int
+    row_bits: tuple[int, ...]
 
     @property
     def all_matchings(self) -> int:
@@ -224,18 +224,17 @@ class MatchingTable(NamedTuple):
         return one & ~two
 
     def row(self, edges: int) -> list[int]:
-        """Incidence row of the edge mask ``edges``: entry i is bit i."""
-        return [edges >> i & 1 for i in range(len(self.cols))]
+        """Incidence row of the edge mask ``edges`` in ``g.edges`` order."""
+        return [edges >> b & 1 for b in self.row_bits]
 
     def shore_face(self, shore: int) -> int:
         """Face mask of delta(X) for the vertex set X given as a bitmask."""
         return self.face(self.cut_mask(v for v in range(len(self.stars)) if shore >> v & 1))
 
-    def three_crossing(self, cut: int) -> PerfectMatching | None:
-        """First matching, in enumeration order, meeting the edge mask
-        ``cut`` exactly three times, or None."""
-        return next((self.matchings[i] for i, m in enumerate(self.masks)
-                     if (m & cut).bit_count() == 3), None)
+    def three_crossing(self, cut: int) -> int | None:
+        """Index of the first matching, in enumeration order, meeting the
+        edge mask ``cut`` exactly three times, or None."""
+        return next((i for i, m in enumerate(self.masks) if (m & cut).bit_count() == 3), None)
 
     def avoiding(self, eid: int) -> int:
         """Face mask of the matchings without edge ``eid`` (x_e = 0)."""
@@ -248,19 +247,19 @@ class MatchingTable(NamedTuple):
 
 @per_graph
 def matching_table(g: MultiGraph) -> MatchingTable:
-    edge_pos = {eid: i for i, (eid, _, _) in enumerate(g.edges)}
+    ids = _edge_ids_by_bit(g)
+    edge_pos = {eid: b for b, eid in enumerate(ids)}
+    row_bits = tuple(map(edge_pos.__getitem__, g.edge_ids))
     stars = [0] * g.vertex_count
-    for i, (_, u, v) in enumerate(g.edges):
-        stars[u] |= 1 << i
-        stars[v] |= 1 << i
-    ms = enumerate_perfect_matchings(g)
-    masks = tuple(sum(1 << edge_pos[eid] for eid in m.edge_ids) for m in ms)
-    e = len(g.edges)
-    # every mask as e binary digits, last matching first: the digits of edge
-    # i sit every e characters, and read as one binary number they are cols[i]
+    for b, (_, u, v) in zip(row_bits, g.edges):
+        stars[u] |= 1 << b
+        stars[v] |= 1 << b
+    masks, e = matching_masks(g), len(ids)
+    # every mask as e binary digits, last matching first: the digits of bit
+    # b sit every e characters, and read as one binary number they are cols[b]
     digits = "".join(format(m, f"0{e}b") for m in reversed(masks))
-    cols = tuple(int(digits[e - 1 - i::e] or "0", 2) for i in range(e))
-    return MatchingTable(ms, edge_pos, masks, cols, tuple(stars), (1 << e) - 1)
+    cols = tuple(int(digits[e - 1 - b::e] or "0", 2) for b in range(e))
+    return MatchingTable(ids, edge_pos, masks, cols, tuple(stars), row_bits)
 
 
 def count_perfect_matchings(g: MultiGraph) -> int:

@@ -177,7 +177,7 @@ def is_separating(g: MultiGraph, shore: tuple[int, ...]) -> bool:
 
 def _shore_cut(g: MultiGraph, t: MatchingTable, shore: tuple[int, ...]) -> Cut:
     """``make_cut`` of a canonical shore, its boundary read from the stars."""
-    return Cut(shore, frozenset(g.edges[i][0] for i in _bits(t.cut_mask(shore))))
+    return Cut(shore, frozenset(t.ids[b] for b in _bits(t.cut_mask(shore))))
 
 
 # ``_held`` stops ANDing once this few candidate sets are left and tests

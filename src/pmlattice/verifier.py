@@ -20,7 +20,7 @@ from .graph import (MultiGraph, contract_shore, cut_contractions,
                     is_bipartite, is_petersen, make_cut,
                     shore_complement, shore_index_map)
 from .linalg import lattice_member
-from .matchings import matching_covered, matching_table
+from .matchings import enumerate_perfect_matchings, matching_covered, matching_table
 from .polytope import (check_cap, cut_face, cuts_equivalent, dim_by_rank,
                        enumerate_codim2_faces, enumerate_facets, facet_incidence, is_bvn,
                        is_separating, members_dim, polytope_dim, separating_cuts,
@@ -287,11 +287,11 @@ def _p_lemma(g: MultiGraph, cap: int) -> tuple[str, dict]:
         return "pass", {"branch": "bvn", "vertices": g.vertex_count}
     t = matching_table(g)
     for cut in separating_facet_defining_cuts(g, cap):
-        m = t.three_crossing(t.edge_mask(cut.boundary))
-        if m is not None:
+        i = t.three_crossing(t.edge_mask(cut.boundary))
+        if i is not None:
             return "pass", {"branch": "three_intersection",
                             "shore": list(cut.shore),
-                            "matching": sorted(m.edge_ids)}
+                            "matching": sorted(enumerate_perfect_matchings(g)[i].edge_ids)}
     return "fail", {"reason": "trichotomy exhausted with no 3-intersecting pair"}
 
 

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import json
 import math
@@ -531,3 +532,22 @@ def test_pm_list_streams_in_little_memory(tmp_path):
     assert code == 0
     assert json.loads(out.read_text())["result"]["count"] == 10395
     assert peak < 3 * 2**20
+
+
+def test_reports_match_pinned_hashes(tmp_path, capsys):
+    """Every graph command on every corpus graph and on random-v12-s8
+    (``corpus random --seed 8 --vertices 12``) writes the report bytes and
+    exit code pinned in ``report_pins.json``."""
+    pins = json.loads((Path(__file__).parent / "report_pins.json").read_text())
+    paths = {name: tmp_path / f"{name}.json" for name in (*CORPUS_NAMES, "random-v12-s8")}
+    for name in CORPUS_NAMES:
+        assert main(["corpus", "emit", name, "--output", str(paths[name])]) == 0
+    assert main(["corpus", "random", "--seed", "8", "--vertices", "12",
+                 "--output", str(paths["random-v12-s8"])]) == 0
+    got = {}
+    for name, path in paths.items():
+        for command in GRAPH_COMMANDS:
+            code = main(command + ["--input", str(path)])
+            digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+            got[" ".join((name, *command))] = {"exit": code, "sha256": digest}
+    assert got == pins

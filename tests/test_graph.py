@@ -78,6 +78,17 @@ def test_contract_rejects_bad_shores(corpus):
         contract_shore(g, range(4))
 
 
+@pytest.mark.parametrize("shore", [(0, 1, 99), (-1, 0, 1)])
+def test_shores_outside_the_vertices_are_rejected(corpus, shore):
+    from pmlattice.polytope import classify_cut
+
+    g = corpus["petersen"]
+    for fn in (make_cut, contract_shore, cut_contractions, classify_cut):
+        with pytest.raises(PreconditionViolated) as err:
+            fn(g, shore)
+        assert err.value.reason == "bad_shore", fn.__name__
+
+
 def test_double_contraction_consistency(corpus):
     # contracting down to Y directly equals contracting X first, as id sets
     rng = random.Random(11)

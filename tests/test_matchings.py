@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,7 +68,46 @@ def test_table_masks_match_frozenset_construction(corpus):
     for name, g in _oracle_graphs(corpus).items():
         t = matching_table(g)
         assert t.masks == tuple(sum(1 << t.edge_pos[eid] for eid in m.edge_ids)
-                                for m in t.matchings), name
+                                for m in enumerate_perfect_matchings(g)), name
+
+
+def _ids_shifted(g: MultiGraph, offset: int) -> MultiGraph:
+    """g with every edge id raised by ``offset``: unequal to g, so its memo is fresh."""
+    return MultiGraph(g.vertex_count, tuple((eid + offset, u, v) for eid, u, v in g.edges))
+
+
+def test_face_and_lattice_queries_decode_no_matching(corpus):
+    """dim P, facets, cut classes, the lattice characterization and the
+    decomposition read the table's masks and never build a PerfectMatching."""
+    from pmlattice.basis import characterize_lattice
+    from pmlattice.decomposition import tight_cut_decomposition
+    from pmlattice.polytope import classify_all_cuts, enumerate_facets, polytope_dim
+
+    for k, fn in enumerate((polytope_dim, enumerate_facets, classify_all_cuts,
+                            characterize_lattice, tight_cut_decomposition)):
+        for name in ("prism", "pete-k4-splice"):
+            g = _ids_shifted(corpus[name], 1000 * (k + 1))
+            before = enumerate_perfect_matchings.cache_info().misses
+            fn(g)
+            assert enumerate_perfect_matchings.cache_info().misses == before, (fn.__name__, name)
+
+
+def test_table_adds_little_over_its_masks():
+    """The K12 table keeps the enumeration's masks and per-bit indices:
+    under 1 MiB on top of its 10,395 masks (8.4 MiB while it also held a
+    PerfectMatching per matching)."""
+    g = _ids_shifted(MultiGraph.from_pairs(12, itertools.combinations(range(12), 2)), 5000)
+    matching_masks(g)
+    misses = matching_table.cache_info().misses
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        matching_table(g)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert matching_table.cache_info().misses == misses + 1
+    assert held < 2**20
 
 
 def test_long_path_masks_list_one_matching():

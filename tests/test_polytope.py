@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +19,9 @@ from pmlattice.polytope import (Face, classify_all_cuts, classify_cut, cut_face,
                                 polytope_dim, separating_cuts,
                                 separating_facet_defining_cuts, uncross)
 
-from conftest import (brute_force_matchings, oracle_affine_dim, oracle_faces,
-                      oracle_is_separating, oracle_odd_faces, row_major_avoiding,
-                      row_major_face)
+from conftest import (bareiss_rank, brute_force_matchings, matching_rows, oracle_affine_dim,
+                      oracle_faces, oracle_hnf, oracle_is_separating, oracle_odd_faces,
+                      oracle_saturation, row_major_avoiding, row_major_face)
 
 
 def test_dimension_examples(corpus):
@@ -77,17 +79,18 @@ def test_separating_definitions_agree(corpus):
 
 def _assert_faces_match_oracle(g: MultiGraph) -> None:
     table = matching_table(g)
-    assert [tuple(table.row(m)) for m in table.masks] == incidence_vectors(g, table.matchings)
+    ms = enumerate_perfect_matchings(g)
+    assert [tuple(table.row(m)) for m in table.masks] == incidence_vectors(g, ms)
     brute = brute_force_matchings(g)
     for shore, (members, covers) in oracle_odd_faces(g).items():
         cut = boundary(g, shore)
         three = table.three_crossing(table.cut_mask(shore))
-        assert (None if three is None else three.edge_ids) == next(
+        assert (None if three is None else ms[three].edge_ids) == next(
             (m for m in brute if len(m & cut) == 3), None), shore
         face = table.face(table.cut_mask(shore))
         assert table.shore_face(sum(1 << v for v in shore)) == face, shore
-        indices = [i for i in range(len(table.matchings)) if face >> i & 1]
-        assert [table.matchings[i].edge_ids for i in indices] == members, shore
+        indices = [i for i in range(len(table.masks)) if face >> i & 1]
+        assert [ms[i].edge_ids for i in indices] == members, shore
         assert table.covers_all_edges(face) == covers, shore
         assert cut_face(g, boundary(g, shore)) == face, shore
 
@@ -130,6 +133,7 @@ def test_column_faces_match_row_major_on_corpus(corpus):
     count on every odd vertex set of every corpus graph."""
     for name, g in corpus.items():
         t = matching_table(g)
+        all_edges = (1 << len(g.edges)) - 1
         assert list(t.cols) == [sum(1 << k for k, m in enumerate(t.masks) if m >> i & 1)
                                 for i in range(len(g.edges))], name
         for eid in g.edge_ids:
@@ -143,7 +147,7 @@ def test_column_faces_match_row_major_on_corpus(corpus):
                 for i in range(len(t.masks)):
                     if face >> i & 1:
                         used |= t.masks[i]
-                assert t.covers_all_edges(face) == (used == t.all_edges), (name, vertices)
+                assert t.covers_all_edges(face) == (used == all_edges), (name, vertices)
 
 
 def _assert_facial_structure_matches_oracle(g: MultiGraph) -> None:
@@ -178,6 +182,40 @@ def _assert_facial_structure_matches_oracle(g: MultiGraph) -> None:
     assert is_bvn(g) == (not sep_facet, sep_facet[0] if sep_facet else None)
     for c in classes:
         assert is_separating(g, c.cut.shore) == c.is_separating
+
+
+def _graphs_out_of_bit_order(corpus) -> dict[str, MultiGraph]:
+    """Graphs whose edges are not listed in id order, so the table's bit
+    b (the edge of the b-th largest id) and ``g.edges[-1 - b]`` differ:
+    sparse ids with a parallel edge, ids listed in reverse, and a seeded
+    random graph with its edge tuple shuffled."""
+    from test_matchings import _oracle_graphs
+
+    graphs = {name: _oracle_graphs(corpus)[name] for name in ("k4-sparse", "prism-reversed")}
+    _, g = random_matching_covered(11, 10, 3)
+    edges = list(g.edges)
+    random.Random(11).shuffle(edges)
+    graphs["random-shuffled"] = MultiGraph(g.vertex_count, tuple(edges))
+    return graphs
+
+
+def test_table_answers_when_bit_order_and_edge_order_differ(corpus):
+    """Faces, rows, three-crossings, cut classes and the boundaries of
+    ``separating_cuts`` and ``facet_cuts`` (against ``make_cut``) match the
+    oracles, and so do the spanning rows and both lattices."""
+    from pmlattice.basis import matching_lattice, matching_saturation
+    from pmlattice.polytope import spanning_matchings
+
+    graphs = _graphs_out_of_bit_order(corpus)
+    for g in graphs.values():
+        _assert_faces_match_oracle(g)
+        _assert_facial_structure_matches_oracle(g)
+    g = graphs["random-shuffled"]
+    rows, n = matching_rows(g), len(g.edges)
+    spanning = [rows[i] for i in spanning_matchings(g)]
+    assert bareiss_rank(spanning) == len(spanning) == bareiss_rank(rows)
+    assert matching_saturation(g) == oracle_saturation(rows, n)
+    assert matching_lattice(g) == oracle_hnf(rows, n)
 
 
 def test_facial_structure_matches_oracle_on_corpus(corpus):
