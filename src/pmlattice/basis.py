@@ -21,8 +21,8 @@ from .errors import DEFAULT_VERTEX_CAP, PreconditionViolated, TheoremFalsified
 from .graph import (Cut, MultiGraph, boundary, contract_shore,
                     cut_contractions, five_cycles, is_petersen, make_cut,
                     per_graph, shore_complement, shore_index_map, simplify)
-from .linalg import (Echelon, Lattice, gf2_kernel, hnf, lattice_equal, lattice_index,
-                     lattice_member, rank, saturation)
+from .linalg import (Echelon, Lattice, hnf, lattice_equal, lattice_index, lattice_member,
+                     rank, saturation)
 from .matchings import (PerfectMatching, _is_perfect_matching_of,
                         enumerate_perfect_matchings, incidence_vectors,
                         matching_table, require_matching_covered, spread_order)
@@ -547,24 +547,19 @@ def _integral_elements(g: MultiGraph, max_vertices: int) -> tuple[PerfectMatchin
         out = _bvn_integral_elements(g)
         _check_integral(g, out, "bvn_base")
         return out
-    cut = find_tight_cut(g)
-    if cut is not None:
-        ks, kc = cut_contractions(g, cut.shore_set)
-        res = merge_bases(g, cut,
-                          Basis(ks, _integral_elements(ks, max_vertices), "integral"),
-                          Basis(kc, _integral_elements(kc, max_vertices), "integral"))
-        _check_integral(g, res.basis.elements, "tight_cut_merge")
-        return res.basis.elements
-    pair = find_intersection_pair(g, max_vertices)
-    cut, m = pair.cut, pair.matching
-    if not _sides_petersen_free(g, cut):
-        cut, m = _adjust_cut(g, cut, m, max_vertices)
+    cut, extra, stage = find_tight_cut(g), (), "tight_cut_merge"
+    if cut is None:
+        pair = find_intersection_pair(g, max_vertices)
+        cut, m = pair.cut, pair.matching
+        if not _sides_petersen_free(g, cut):
+            cut, m = _adjust_cut(g, cut, m, max_vertices)
+        extra, stage = (m,), "brick_step"
     ks, kc = cut_contractions(g, cut.shore_set)
     res = merge_bases(g, cut,
                       Basis(ks, _integral_elements(ks, max_vertices), "integral"),
                       Basis(kc, _integral_elements(kc, max_vertices), "integral"))
-    out = res.basis.elements + (m,)
-    _check_integral(g, out, "brick_step")
+    out = res.basis.elements + extra
+    _check_integral(g, out, stage)
     return out
 
 
@@ -639,6 +634,24 @@ class LatticeCharacterization(NamedTuple):
         }
 
 
+def parity_lattice(g: MultiGraph, psets: Sequence[frozenset[int]]) -> Lattice:
+    """{x in lin(P(G)) ∩ Z^E : x(A) even for every edge set A in ``psets``}.
+
+    One :class:`Echelon` on k + |E| columns, for the k sets, takes
+    the row (s(A_1), ..., s(A_k) | s) of every saturation basis row s, then
+    the rows (2 e_i | 0).  Its elements vanishing on the first k columns
+    are (0 | x) with x in the saturation and every x(A_i) even, so its
+    lattice from column k on is the canonical HNF of that set.
+    """
+    sat = matching_saturation(g)
+    k, edge_pos = len(psets), {eid: i for i, eid in enumerate(g.edge_ids)}
+    ech = Echelon(k + len(g.edges))
+    ech.extend([sum(row[edge_pos[eid]] for eid in a) for a in psets] + list(row)
+               for row in sat.basis)
+    ech.extend([2 * int(i == j) for j in range(k)] + [0] * len(g.edges) for i in range(k))
+    return ech.lattice(k)
+
+
 def characterize_lattice(g: MultiGraph) -> LatticeCharacterization:
     """Check L = (saturation) ∩ {x(A_i) even for every Petersen parity set}.
 
@@ -650,22 +663,7 @@ def characterize_lattice(g: MultiGraph) -> LatticeCharacterization:
     lat = matching_lattice(g)
     sat = matching_saturation(g)
     psets = parity_sets(g)
-    edge_pos = {eid: i for i, eid in enumerate(g.edge_ids)}
-
-    if psets:
-        trows = [[sum(row[edge_pos[eid]] for eid in a) % 2 for row in sat.basis]
-                 for a in psets]
-        kernel = gf2_kernel(trows, sat.rank)
-        gens = [list(k) for k in kernel]
-        gens += [[2 * int(i == j) for j in range(sat.rank)] for i in range(sat.rank)]
-        rows = []
-        for c in gens:
-            rows.append([sum(ci * bi for ci, bi in zip(c, col))
-                         for col in zip(*sat.basis)])
-        constrained = hnf(rows, len(g.edges))
-    else:
-        constrained = sat
-
+    constrained = parity_lattice(g, psets)
     equality = lattice_equal(lat, constrained)
     index = lattice_index(lat, sat)
     two_x: bool | None = None

@@ -5,12 +5,16 @@ One engine, :class:`Echelon`, does every elimination: it takes integer rows
 one at a time, keeps a fraction-free echelon basis of their integer span
 (unimodular gcd steps, no fractions), says whether each row raised the
 rank, and stops at a target rank when given one.  :func:`rank`,
-:func:`affine_dim`, :func:`hnf` and :func:`integer_kernel` are thin calls
-to it; ``fractions.Fraction`` is accepted only as an input entry of
-:func:`rank` and is scaled away before elimination.  The row-style Hermite
-normal form (``Echelon.lattice``, :func:`hnf`) is THE canonical form used
-for every lattice comparison in the package: positive pivots, entries
-above a pivot reduced into ``[0, pivot)``.
+:func:`affine_dim`, :func:`hnf`, :func:`integer_kernel` and
+:func:`saturation` are thin calls to it.  :func:`snf` alternates the HNF
+of a matrix and of its transpose until it is diagonal, :func:`lattice_index`
+divides pivot products of two HNFs, and the parity-constrained lattice of
+``basis.parity_lattice`` is one echelon's HNF past its parity columns.
+Every entry must be an int (``ValueError`` otherwise); ``fractions.Fraction``
+is accepted only as an input entry of :func:`rank` and is scaled away
+before elimination.  The row-style Hermite normal form (``Echelon.lattice``,
+:func:`hnf`) is THE canonical form used for every lattice comparison in the
+package: positive pivots, entries above a pivot reduced into ``[0, pivot)``.
 
 Two uses in the package stop early, both exactly:
 
@@ -30,7 +34,7 @@ Two uses in the package stop early, both exactly:
 from __future__ import annotations
 
 from itertools import chain
-from math import lcm
+from math import gcd, lcm, prod
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -39,14 +43,29 @@ if TYPE_CHECKING:
 Row = Sequence[int]
 
 
-def _check_rect(m: Sequence[Row]) -> int:
+def _check_rect(m: Sequence[Row], ambient_dim: int | None = None,
+                rational: bool = False) -> tuple[Sequence[Row], int]:
+    """``m`` as integer rows, with their width: ``ambient_dim`` when given,
+    else that of the first row.  Raises ``ValueError`` on an empty ``m``
+    with no ``ambient_dim``, on a row of another width and on an entry that
+    is not an int.  With ``rational``, ``Fraction`` entries are accepted
+    and each row is scaled by the lcm of its denominators, which keeps
+    its rational span.  Entry types are scanned once."""
     if not m:
-        return 0
-    width = len(m[0])
-    for r in m:
-        if len(r) != width:
-            raise ValueError("matrix rows have unequal lengths")
-    return width
+        if ambient_dim is None:
+            raise ValueError("ambient dimension required for an empty row set")
+        return m, ambient_dim
+    width = len(m[0]) if ambient_dim is None else ambient_dim
+    if any(len(r) != width for r in m):
+        raise ValueError(f"matrix rows do not all have width {width}")
+    kinds = set(map(type, chain.from_iterable(m)))
+    if kinds <= {int}:
+        return m, width
+    if rational:
+        from fractions import Fraction  # imports decimal: only Fraction input needs it
+        if kinds <= {int, Fraction}:
+            return [_integer_row(r) for r in m], width
+    raise ValueError(f"matrix entries must be ints, not {(kinds - {int}).pop().__name__}")
 
 
 def _integer_row(r: Sequence[int | Fraction]) -> list[int]:
@@ -149,9 +168,9 @@ def rank(m: Sequence[Sequence[int | Fraction]]) -> int:
     has each row scaled by the lcm of its denominators first, which leaves
     the rank unchanged, so elimination only ever sees Python ints.
     """
-    width = _check_rect(m)
-    if not set(map(type, chain.from_iterable(m))) <= {int}:
-        m = [_integer_row(r) for r in m]
+    if not m:
+        return 0
+    m, width = _check_rect(m, rational=True)
     ech = Echelon(width)
     ech.extend(m, min(width, len(m)))
     return ech.rank
@@ -218,82 +237,38 @@ class Lattice:
 
 def hnf(m: Sequence[Row], ambient_dim: int | None = None) -> Lattice:
     """Canonical lattice of the integer row span of ``m``."""
-    width = _check_rect(m)
-    if ambient_dim is None:
-        if not m:
-            raise ValueError("ambient dimension required for an empty row set")
-        ambient_dim = width
-    elif m and width != ambient_dim:
-        raise ValueError("rows do not match ambient dimension")
-    ech = Echelon(ambient_dim)
+    m, width = _check_rect(m, ambient_dim)
+    ech = Echelon(width)
     ech.extend(m)
     return ech.lattice()
 
 
 def snf(m: Sequence[Row]) -> tuple[int, ...]:
-    """Elementary divisors d1 | d2 | ... of the integer matrix (zeros dropped)."""
-    width = _check_rect(m)
-    a = [list(map(int, r)) for r in m]
-    nrows = len(a)
-    divisors: list[int] = []
-    t = 0
+    """Elementary divisors d1 | d2 | ... of the integer matrix (zeros dropped).
+
+    The row HNF (:meth:`Echelon.lattice`) of the matrix and of its
+    transpose alternate until the result is diagonal.  Each is a unimodular
+    multiple of the last on one side, so the divisors never change.  The
+    first pivot not yet alone in its row and column either shrinks to a
+    proper divisor or clears its row and column, so the rounds end.
+    Pairwise gcd/lcm steps, which keep the product of every pair, then make
+    each diagonal entry divide the next.
+    """
+    if not m:
+        return ()
+    m, width = _check_rect(m)
     while True:
-        pos = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, width):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pos = v, (i, j)
-        if pos is None:
+        ech = Echelon(width)
+        ech.extend(m)
+        basis = ech.lattice().basis
+        if all(len(row) - row.count(0) == 1 for row in basis):
             break
-        i0, j0 = pos
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        while True:
-            # clear column t
-            redo = False
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        redo = True
-            if redo:
-                continue
-            # clear row t
-            for j in range(t + 1, width):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        redo = True
-            if redo:
-                continue
-            break
-        # enforce divisibility: pivot must divide everything below-right
-        culprit = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, width):
-                if a[i][j] % a[t][t]:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
-        if culprit is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[culprit])]
-            # redo this pivot with the merged row
-            continue
-        divisors.append(abs(a[t][t]))
-        t += 1
-        if t >= min(nrows, width):
-            break
-    return tuple(divisors)
+        m, width = list(zip(*basis)), len(basis)
+    d = [p for _, p in ech.pivots()]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple(d)
 
 
 def integer_kernel(m: Sequence[Row], ambient_dim: int) -> Lattice:
@@ -304,12 +279,7 @@ def integer_kernel(m: Sequence[Row], ambient_dim: int) -> Lattice:
     on the transpose columns is {(0, x) : m x = 0}.  Kernels are saturated
     by construction.
     """
-    if not m:
-        ident = [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)]
-        return hnf(ident, ambient_dim)
-    width = _check_rect(m)
-    if width != ambient_dim:
-        raise ValueError("rows do not match ambient dimension")
+    m, width = _check_rect(m, ambient_dim)
     k = len(m)
     ech = Echelon(k + width)
     ech.extend([row[i] for row in m] + [int(i == j) for j in range(width)]
@@ -326,22 +296,12 @@ def saturation(m: Sequence[Row], ambient_dim: int | None = None) -> Lattice:
     integer kernel: the kernel of a kernel is saturated and spans the
     original row space.
     """
-    width = _check_rect(m)
-    if ambient_dim is None:
-        if not m:
-            raise ValueError("ambient dimension required for an empty row set")
-        ambient_dim = width
-    elif m and width != ambient_dim:
-        raise ValueError("rows do not match ambient dimension")
-    span = Echelon(ambient_dim)
+    m, width = _check_rect(m, ambient_dim)
+    span = Echelon(width)
     span.extend(m)
     if all(p == 1 for _, p in span.pivots()):
         return span.lattice()
-    ker = integer_kernel(m, ambient_dim)
-    if not ker.basis:
-        ident = [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)]
-        return hnf(ident, ambient_dim)
-    return integer_kernel([list(r) for r in ker.basis], ambient_dim)
+    return integer_kernel(integer_kernel(m, width).basis, width)
 
 
 def lattice_member(lat: Lattice, z: Sequence[int]) -> tuple[int, ...] | None:
@@ -350,9 +310,8 @@ def lattice_member(lat: Lattice, z: Sequence[int]) -> tuple[int, ...] | None:
     Recombining the returned coefficients with the basis rows reproduces z
     exactly (HNF pivots make the reduction greedy and unique).
     """
-    if len(z) != lat.ambient_dim:
-        raise ValueError("vector length != ambient dimension")
-    vec = list(map(int, z))
+    _check_rect([z], lat.ambient_dim)
+    vec = list(z)
     coeffs = []
     for row in lat.basis:
         j = next(i for i, x in enumerate(row) if x)
@@ -376,56 +335,18 @@ def lattice_equal(a: Lattice, b: Lattice) -> bool:
 def lattice_index(sub: Lattice, sup: Lattice) -> int | float:
     """[sup : sub] as an integer, or ``inf`` when sub has lower rank.
 
-    Raises if sub is not contained in sup.  Equal lattices (equal
-    canonical bases) have index 1.
+    Raises if sub is not contained in sup.  At equal rank the two
+    canonical bases are echelon with the same pivot columns (those of
+    their common rational span), so the index is the ratio of their pivot
+    products.
     """
     if sub.ambient_dim != sup.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if sub.basis == sup.basis:
         return 1
-    coeff_rows = []
-    for row in sub.basis:
-        c = lattice_member(sup, row)
-        if c is None:
-            raise ValueError("first lattice is not a sublattice of the second")
-        coeff_rows.append(list(c))
+    if any(lattice_member(sup, row) is None for row in sub.basis):
+        raise ValueError("first lattice is not a sublattice of the second")
     if sub.rank < sup.rank:
         return float("inf")
-    divisors = snf(coeff_rows)
-    index = 1
-    for d in divisors:
-        index *= d
-    return index
-
-
-def gf2_kernel(rows: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
-    """Basis of the GF(2) kernel of an integer matrix (entries taken mod 2)."""
-    mat = []
-    for r in rows:
-        acc = 0
-        for j, x in enumerate(r):
-            if x % 2:
-                acc |= 1 << j
-        mat.append(acc)
-    pivots: dict[int, int] = {}  # leading column -> echelon row bitmask
-    for val in mat:
-        cur = val
-        while cur:
-            lead = cur.bit_length() - 1
-            if lead in pivots:
-                cur ^= pivots[lead]
-            else:
-                pivots[lead] = cur
-                break
-    free_cols = [j for j in range(width) if j not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = 1 << fc
-        # each echelon row has its leading column as highest bit, so solving
-        # pivots in ascending order only ever reads already-decided bits
-        for p in sorted(pivots):
-            row = pivots[p]
-            if bin(row & vec & ((1 << p) - 1)).count("1") % 2:
-                vec |= 1 << p
-        basis.append(tuple((vec >> j) & 1 for j in range(width)))
-    return basis
+    sub_det, sup_det = (prod(next(filter(None, row)) for row in lat.basis) for lat in (sub, sup))
+    return sub_det // sup_det

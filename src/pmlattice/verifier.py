@@ -20,7 +20,8 @@ from .graph import (MultiGraph, contract_shore, cut_contractions,
                     is_bipartite, is_petersen, make_cut,
                     shore_complement, shore_index_map)
 from .linalg import lattice_member
-from .matchings import enumerate_perfect_matchings, matching_covered, matching_table
+from .matchings import (enumerate_perfect_matchings, matching_covered, matching_table,
+                        require_matching_covered)
 from .polytope import (check_cap, cut_face, cuts_equivalent, dim_by_rank,
                        enumerate_codim2_faces, enumerate_facets, facet_incidence, is_bvn,
                        is_separating, members_dim, polytope_dim, separating_cuts,
@@ -373,8 +374,7 @@ def verify_property(g: MultiGraph, property_id: str, graph_name: str = "graph",
     """Run one catalog property; unknown ids raise, caps produce skips."""
     if property_id not in _CHECKS:
         raise PreconditionViolated("unknown_property", f"unknown property {property_id!r}")
-    if not matching_covered(g):
-        raise PreconditionViolated("not_matching_covered")
+    require_matching_covered(g)
     cap = triple_cap if property_id == "P-TRIPLE" else max_vertices
     try:
         status, cert = _CHECKS[property_id](g, cap)

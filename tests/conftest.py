@@ -6,8 +6,9 @@ counts, per-edge BFS for girth, a separate fraction elimination for
 ranks, and a scan of every odd shore for tight cuts.  The library's
 earlier exact linear algebra is kept too: Bareiss rank, the column-by-column
 HNF (with its unimodular transform) and the double-kernel saturation,
-always over every row given; and its earlier argparse command-line
-grammar.  They are slower and
+always over every row given, the min-pivot Smith normal form and the
+parity-constrained lattice built from a GF(2) kernel; and its earlier
+argparse command-line grammar.  They are slower and
 dumber on purpose.  The facial oracles keep the library's earlier
 implementation: faces counted matching by matching, facets and codim-2
 faces found by exact rank, and separating cuts by contracting both sides.
@@ -238,6 +239,117 @@ def oracle_index(sub: Lattice, sup: Lattice) -> int:
     index, rem = divmod(pivots(sub), pivots(sup))
     assert rem == 0
     return index
+
+
+def oracle_snf(m) -> tuple[int, ...]:
+    """Elementary divisors d1 | d2 | ... (zeros dropped) by min-pivot
+    elimination on rows and columns, merging a row into the pivot row
+    whenever the pivot does not divide the rest."""
+    width = len(m[0]) if m else 0
+    a = [list(map(int, r)) for r in m]
+    nrows = len(a)
+    divisors: list[int] = []
+    t = 0
+    while True:
+        pos = None
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, width):
+                v = abs(a[i][j])
+                if v and (best is None or v < best):
+                    best, pos = v, (i, j)
+        if pos is None:
+            break
+        i0, j0 = pos
+        a[t], a[i0] = a[i0], a[t]
+        for row in a:
+            row[t], row[j0] = row[j0], row[t]
+        while True:
+            # clear column t
+            redo = False
+            for i in range(t + 1, nrows):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
+                        redo = True
+            if redo:
+                continue
+            # clear row t
+            for j in range(t + 1, width):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    for row in a:
+                        row[j] -= q * row[t]
+                    if a[t][j]:
+                        for row in a:
+                            row[t], row[j] = row[j], row[t]
+                        redo = True
+            if redo:
+                continue
+            break
+        # enforce divisibility: pivot must divide everything below-right
+        culprit = None
+        for i in range(t + 1, nrows):
+            for j in range(t + 1, width):
+                if a[i][j] % a[t][t]:
+                    culprit = i
+                    break
+            if culprit is not None:
+                break
+        if culprit is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[culprit])]
+            # redo this pivot with the merged row
+            continue
+        divisors.append(abs(a[t][t]))
+        t += 1
+        if t >= min(nrows, width):
+            break
+    return tuple(divisors)
+
+
+def _gf2_kernel(rows, width: int) -> list[tuple[int, ...]]:
+    """Basis of the GF(2) kernel of an integer matrix (entries taken mod 2)."""
+    mat = []
+    for r in rows:
+        acc = 0
+        for j, x in enumerate(r):
+            if x % 2:
+                acc |= 1 << j
+        mat.append(acc)
+    pivots: dict[int, int] = {}  # leading column -> echelon row bitmask
+    for val in mat:
+        cur = val
+        while cur:
+            lead = cur.bit_length() - 1
+            if lead in pivots:
+                cur ^= pivots[lead]
+            else:
+                pivots[lead] = cur
+                break
+    basis = []
+    for fc in (j for j in range(width) if j not in pivots):
+        vec = 1 << fc
+        # each echelon row has its leading column as highest bit, so solving
+        # pivots in ascending order only ever reads already-decided bits
+        for p in sorted(pivots):
+            if bin(pivots[p] & vec & ((1 << p) - 1)).count("1") % 2:
+                vec |= 1 << p
+        basis.append(tuple((vec >> j) & 1 for j in range(width)))
+    return basis
+
+
+def oracle_parity_lattice(g: MultiGraph, sat: Lattice, psets) -> Lattice:
+    """The x in the lattice ``sat`` with x(A) even for every A in ``psets``:
+    the combinations of its basis by the GF(2) kernel of the parity rows,
+    plus twice every basis row, under the column-by-column HNF."""
+    edge_pos = {eid: i for i, eid in enumerate(g.edge_ids)}
+    trows = [[sum(row[edge_pos[eid]] for eid in a) % 2 for row in sat.basis] for a in psets]
+    gens = [list(k) for k in _gf2_kernel(trows, sat.rank)]
+    gens += [[2 * int(i == j) for j in range(sat.rank)] for i in range(sat.rank)]
+    rows = [[sum(ci * bi for ci, bi in zip(c, col)) for col in zip(*sat.basis)] for c in gens]
+    return oracle_hnf(rows, len(g.edges))
 
 
 def matching_rows(g: MultiGraph) -> list[list[int]]:

@@ -4,23 +4,25 @@ from fractions import Fraction
 
 import pytest
 
+from pmlattice import basis
 from pmlattice.basis import (Basis, characterize_lattice,
                              find_intersection_pair, integral_basis,
                              lattice_basis, matching_lattice,
                              matching_saturation, merge_bases,
                              merge_coefficients, near_brick_petersen_basis,
-                             pm_linear_basis)
+                             parity_lattice, pm_linear_basis)
 from pmlattice.corpus import random_matching_covered
-from pmlattice.decomposition import canonical_parity_cycle, petersen_bricks
+from pmlattice.decomposition import (canonical_parity_cycle, find_tight_cut, parity_sets,
+                                     petersen_bricks)
 from pmlattice.errors import PreconditionViolated
 from pmlattice.graph import MultiGraph, boundary, cut_contractions, five_cycles, make_cut
 from pmlattice.linalg import hnf, lattice_equal, lattice_index, rank
 from pmlattice.matchings import (MatchingTable, enumerate_perfect_matchings,
                                  incidence_vectors, matching_table)
-from pmlattice.polytope import dim_by_rank, separating_cuts
+from pmlattice.polytope import dim_by_rank, is_bvn, separating_cuts
 
 from conftest import (bareiss_rank, matching_rows, oracle_hnf, oracle_index,
-                      oracle_saturation)
+                      oracle_parity_lattice, oracle_saturation)
 
 
 def _random_graphs():
@@ -207,6 +209,26 @@ def test_integral_basis_postcheck_oracle(corpus):
         assert lattice_equal(got, matching_saturation(g)), name
 
 
+def test_integral_basis_merges_at_a_tight_cut(monkeypatch):
+    """A Petersen-free graph that is not BvN and has a tight cut: its
+    integral basis merges those of its two cut-contractions, and the
+    elements are the ones the separate tight-cut branch returned."""
+    _, g = random_matching_covered(2, 8, 2)
+    assert find_tight_cut(g) is not None and not is_bvn(g)[0] and not petersen_bricks(g)
+    stages = []
+    check = basis._check_integral
+
+    def record(h, elements, stage):
+        stages.append(stage)
+        check(h, elements, stage)
+
+    monkeypatch.setattr(basis, "_check_integral", record)
+    b = integral_basis(g)
+    assert stages == ["bvn_base", "bvn_base", "brick_step", "bvn_base", "tight_cut_merge"]
+    assert [sorted(m.edge_ids) for m in b.elements] == \
+        [[1, 4, 8, 9], [2, 3, 5, 8], [0, 5, 8, 9], [0, 6, 7, 10]]
+
+
 def test_integral_basis_rejects_petersen(corpus):
     for name in ("petersen", "petersen-parallel", "pete-c4-splice"):
         with pytest.raises(PreconditionViolated) as err:
@@ -240,6 +262,17 @@ def test_characterize_lattice(corpus):
     assert characterize_lattice(corpus["prism"]).index == 1
     assert characterize_lattice(corpus["c6"]).index == 1
     assert characterize_lattice(corpus["k33"]).two_x_in_lattice is None
+
+
+@pytest.mark.parametrize("name", ["petersen", "petersen-parallel", "pete-c4-splice",
+                                  "pete-k4-splice"])
+def test_parity_lattice_matches_gf2_oracle(corpus, name):
+    g = corpus[name]
+    psets, sat = parity_sets(g), matching_saturation(g)
+    assert psets
+    got = parity_lattice(g, psets)
+    assert got == oracle_parity_lattice(g, sat, psets) == matching_lattice(g) != sat
+    assert parity_lattice(g, []) == sat
 
 
 def test_petersen_parity_evenness(corpus):

@@ -1,6 +1,8 @@
 import random
+import time
 from fractions import Fraction
 from functools import cache
+from math import prod
 
 import pytest
 import sympy
@@ -10,13 +12,13 @@ from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 from sympy.polys.domains import ZZ
 
 from pmlattice.corpus import corpus_graph, random_matching_covered
-from pmlattice.linalg import (Echelon, Lattice, affine_dim, gf2_kernel, hnf,
-                              integer_kernel, lattice_equal, lattice_index,
-                              lattice_member, rank, saturation, snf, xgcd)
+from pmlattice.linalg import (Echelon, Lattice, affine_dim, hnf, integer_kernel,
+                              lattice_equal, lattice_index, lattice_member, rank,
+                              saturation, snf, xgcd)
 from pmlattice.matchings import enumerate_perfect_matchings, incidence_vectors
 
 from conftest import (bareiss_rank, oracle_affine_dim, oracle_hnf, oracle_rank,
-                      oracle_saturation)
+                      oracle_saturation, oracle_snf)
 
 
 def _petersen_vectors():
@@ -177,6 +179,20 @@ def test_snf_examples():
     assert all(divs[i + 1] % divs[i] == 0 for i in range(len(divs) - 1))
 
 
+@pytest.mark.parametrize("n", [16, 20])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_snf_matches_sympy_on_dense_square_matrices(n, seed):
+    """Seeded n x n matrices with entries in [-3, 3]; the min-pivot
+    elimination that ``snf`` replaced ran past 15 s on 15 x 15 ones."""
+    rng = random.Random(seed)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    start = time.perf_counter()
+    got = snf(rows)
+    assert time.perf_counter() - start < 1.0
+    factors = invariant_factors(sympy.Matrix(rows), domain=ZZ)
+    assert got == tuple(abs(int(x)) for x in factors if x)
+
+
 def _sympy_hnf_columns(rows) -> list[tuple[int, ...]]:
     """sympy's (column-style) Hermite normal form of the transpose: its
     columns are a basis of the row lattice of ``rows``."""
@@ -280,6 +296,25 @@ def test_lattice_index_examples():
         lattice_index(z2, sub)  # Z^2 is not inside the sublattice
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lattice_index_matches_oracle_snf_product(data):
+    """sub is spanned by C times a basis of sup, so [sup : sub] is the
+    product of C's elementary divisors (by the oracle) when C has full
+    column rank, and infinite otherwise."""
+    width = data.draw(st.integers(1, 6))
+    small = st.integers(-4, 4)
+    gens = data.draw(st.lists(st.lists(small, min_size=width, max_size=width),
+                              min_size=1, max_size=5))
+    sup = hnf(gens)
+    coeffs = data.draw(st.lists(st.lists(small, min_size=sup.rank, max_size=sup.rank),
+                                min_size=1, max_size=5))
+    sub = hnf([[sum(c * row[j] for c, row in zip(cs, sup.basis)) for j in range(width)]
+               for cs in coeffs], width)
+    want = prod(oracle_snf(coeffs)) if oracle_rank(coeffs) == sup.rank else float("inf")
+    assert lattice_index(sub, sup) == want
+
+
 def test_lattice_validation():
     with pytest.raises(ValueError):
         Lattice(2, ((1, 0, 0),))
@@ -287,17 +322,19 @@ def test_lattice_validation():
         lattice_equal(hnf([[1]]), hnf([[1, 0]]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: lattice_member(hnf([[1, 0], [0, 1]]), [0.5, 0]),
+    lambda: snf([[Fraction(1, 2), 0], [0, 1]]),
+    lambda: hnf([[0.5, 1]]),
+    lambda: integer_kernel([[0.5, 1]], 2),
+    lambda: rank([[0.5, 1]]),
+], ids=["lattice_member", "snf", "hnf", "integer_kernel", "rank"])
+def test_non_integer_entries_are_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_affine_dim():
     assert affine_dim([]) == -1
     assert affine_dim([(1, 2)]) == 0
     assert affine_dim([(0, 0), (1, 0), (0, 1), (1, 1)]) == 2
-
-
-def test_gf2_kernel():
-    # kernel of [1 1 0; 0 1 1] over GF(2) is spanned by (1,1,1)
-    ker = gf2_kernel([[1, 1, 0], [0, 1, 1]], 3)
-    assert ker == [(1, 1, 1)]
-    assert gf2_kernel([], 2) == [(1, 0), (0, 1)]
-    for row in gf2_kernel([[1, 0, 1, 1], [1, 1, 1, 0]], 4):
-        assert sum(row[j] for j in (0, 2, 3)) % 2 == 0
-        assert sum(row[j] for j in (0, 1, 2)) % 2 == 0
