@@ -10,7 +10,8 @@ streams every report as ``json.dumps(report, indent=2)`` would write it;
 ``pm list`` renders its matchings while they are written.  Exit codes: 0
 for success / all-pass, 1 for a property failure or falsified claim, 2 for
 usage, parse, or precondition errors, an unwritable --output or a closed
-stdout.
+stdout.  ``python -m pmlattice.cli`` and the ``pmlattice`` script end
+through ``run``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
 from .cmdline import UsageError, parse_args
@@ -33,19 +34,38 @@ if TYPE_CHECKING:
     from .graph import MultiGraph
 
 SCHEMA = "pmlattice-report/1"
+BLOCK = 1 << 16  # characters per write of a report
+
+
+def _write_blocks(doc: dict, write) -> None:
+    """Write ``doc`` and a newline through ``write`` in blocks of about ``BLOCK`` characters."""
+    chunks: list[str] = []
+    size = 0
+
+    def add(chunk: str) -> None:
+        nonlocal size
+        chunks.append(chunk)
+        size += len(chunk)
+        if size >= BLOCK:
+            write("".join(chunks))
+            chunks.clear()
+            size = 0
+
+    write_json(doc, add)
+    chunks.append("\n")
+    write("".join(chunks))
 
 
 def _emit(doc: dict, output: str | None) -> None:
     """Stream ``doc`` to stdout, or to ``output`` through a temp file removed on failure."""
     if output is None:
-        write_json(doc, sys.stdout.write)
-        print(flush=True)
+        _write_blocks(doc, sys.stdout.write)
+        sys.stdout.flush()
         return
     fh = open(output + ".tmp", "w")
     try:
         with fh:
-            write_json(doc, fh.write)
-            fh.write("\n")
+            _write_blocks(doc, fh.write)
         os.replace(fh.name, output)
     except BaseException:
         os.remove(fh.name)
@@ -280,5 +300,20 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> NoReturn:
+    """Run ``main`` and end the process once its report is flushed, without
+    interpreter finalization (module teardown, ``atexit`` handlers), which
+    no report needs: ``_emit`` has already closed any --output file.  A
+    failed flush exits 2 quietly, like a closed stdout in ``main``; an
+    exception from ``main``, and ``SystemExit`` from --help, propagate."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        code = 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

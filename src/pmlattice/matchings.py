@@ -245,6 +245,9 @@ class MatchingTable(NamedTuple):
         return all(col & face for col in self.cols)
 
 
+COLS_SLICE = 4096  # matchings per slice of the table's columns, bounding the build peak
+
+
 @per_graph
 def matching_table(g: MultiGraph) -> MatchingTable:
     ids = _edge_ids_by_bit(g)
@@ -255,11 +258,15 @@ def matching_table(g: MultiGraph) -> MatchingTable:
         stars[u] |= 1 << b
         stars[v] |= 1 << b
     masks, e = matching_masks(g), len(ids)
-    # every mask as e binary digits, last matching first: the digits of bit
-    # b sit every e characters, and read as one binary number they are cols[b]
-    digits = "".join(format(m, f"0{e}b") for m in reversed(masks))
-    cols = tuple(int(digits[e - 1 - b::e] or "0", 2) for b in range(e))
-    return MatchingTable(ids, edge_pos, masks, cols, tuple(stars), row_bits)
+    cols = [0] * e
+    for start in range(0, len(masks), COLS_SLICE):
+        # the slice's masks as e binary digits each, last matching first: the
+        # digits of bit b sit every e characters, and read as one binary
+        # number they are the slice's part of cols[b]
+        digits = "".join(format(m, f"0{e}b") for m in reversed(masks[start:start + COLS_SLICE]))
+        for b in range(e):
+            cols[b] |= int(digits[e - 1 - b::e], 2) << start
+    return MatchingTable(ids, edge_pos, masks, tuple(cols), tuple(stars), row_bits)
 
 
 def count_perfect_matchings(g: MultiGraph) -> int:

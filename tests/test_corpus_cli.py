@@ -296,23 +296,94 @@ def _package_env() -> dict:
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+def _fresh_python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """Run ``python3 *args`` in a new interpreter with this package importable."""
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=_package_env(), timeout=120)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=_package_env(), timeout=120)
+
+
+def _in_process(argv: list[str], capsys) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``main(argv)``; stderr is always empty."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    captured = capsys.readouterr()
+    assert captured.err == "", argv
+    return code, captured.out, captured.err
 
 
 def test_cli_fresh_process_matches_in_process(tmp_path, capsys):
-    """Every graph command works in a new interpreter, where only the
-    modules the command imports itself are loaded (this test session has
-    loaded them all), and prints the in-process report."""
+    """Every graph command, a usage error, an unwritable --output and --help
+    work in a new interpreter, where only the modules the command imports
+    itself are loaded (this test session has loaded them all); the process,
+    which ends through ``cli.run`` without interpreter finalization, prints
+    the in-process report and exit code and nothing on stderr."""
     path = tmp_path / "k4.json"
     path.write_text(dump_graph_file("k4", corpus_graph("k4")))
-    for command in GRAPH_COMMANDS:
-        argv = command + ["--input", str(path)]
-        code, out = _run(argv, capsys)
+    argvs = [command + ["--input", str(path)] for command in GRAPH_COMMANDS]
+    argvs += [["pm", "frobnicate"], ["pm", "count", "--help"],
+              ["pm", "count", "--input", str(path), "--output", str(tmp_path / "no" / "x.json")]]
+    for argv in argvs:
         proc = _fresh_python("-m", "pmlattice.cli", *argv)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, ""), command
+        assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(argv, capsys), argv
+
+
+# a P-DIM check that fails: every catalog property is a theorem, so no
+# GraphFile reaches exit 1 through ``verify`` or a falsified claim
+_FAILING_CHECK = "lambda g, cap: ('fail', {'forced': True})"
+
+
+def test_cli_process_ends_after_its_whole_report(tmp_path, capsys, monkeypatch):
+    """A process that ends through ``cli.run`` has written all of a report
+    of many blocks, to stdout or to a complete --output file, and ends with
+    exit 1 when a property fails."""
+    k12 = str(_complete_graph_file(tmp_path, 12))
+    argv = ["pm", "list", "--input", k12]
+    proc = _fresh_python("-m", "pmlattice.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(argv, capsys)
+    assert len(proc.stdout) > 8 * cli.BLOCK
+    proc = _fresh_python("-m", "pmlattice.cli", *argv, "--output", str(tmp_path / "out.json"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert (tmp_path / "out.json").read_text() == _in_process(argv, capsys)[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["K12.json", "out.json"]
+    argv = ["verify", "P-DIM", "--input", k12]
+    proc = _fresh_python("-c", "from pmlattice import cli, verifier; "
+                               f"verifier._CHECKS['P-DIM'] = {_FAILING_CHECK}; cli.run()", *argv)
+    from pmlattice import verifier
+    monkeypatch.setitem(verifier._CHECKS, "P-DIM", eval(_FAILING_CHECK))
+    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(argv, capsys)
+    assert proc.returncode == 1
+
+
+def test_cli_run_exit_paths():
+    """The module run as ``__main__`` (as ``python -m`` runs it) ends
+    through ``run``, which skips ``atexit`` handlers, turns a final flush
+    that fails into exit 2 with nothing on stderr, and lets an exception
+    from ``main`` end the process with its traceback and exit 1."""
+    proc = _fresh_python("-c", "import atexit, runpy; atexit.register(print, 'atexit ran'); "
+                               "runpy.run_module('pmlattice.cli', run_name='__main__')",
+                         "corpus", "list")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["result"]["names"] == list(CORPUS_NAMES)
+    with open(os.devnull, "w") as devnull, open("/dev/full", "w") as full:
+        for out in (devnull, full):
+            # a buffered stdout holds the 'x' until the final flush
+            proc = _fresh_python("-c", "import sys; from pmlattice import cli; "
+                                       "sys.stdout = open(1, 'w', closefd=False); "
+                                       "cli.main = lambda: sys.stdout.write('x') - 1; cli.run()",
+                                 stdout=out)
+            assert (proc.returncode, proc.stderr) == ((0, "") if out is devnull else (2, ""))
+    proc = _fresh_python("-c", "from pmlattice import cli; cli.main = lambda: 1 / 0; cli.run()")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("Traceback") and "ZeroDivisionError" in proc.stderr
+
+
+def test_console_script_runs_cli_run():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"] == {"pmlattice": "pmlattice.cli:run"}
+    assert callable(cli.run)
 
 
 _VALID_ARGV = [

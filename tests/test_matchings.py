@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pmlattice.corpus import random_matching_covered
 from pmlattice.errors import PreconditionViolated
 from pmlattice.graph import MultiGraph, cut_contractions, make_cut
-from pmlattice.matchings import (PerfectMatching, count_perfect_matchings,
+from pmlattice.matchings import (COLS_SLICE, PerfectMatching, count_perfect_matchings,
                                  enumerate_perfect_matchings,
                                  extend_across_cut, idp_decompose,
                                  is_matching_covered, matching_edge_ids,
@@ -92,11 +92,15 @@ def test_face_and_lattice_queries_decode_no_matching(corpus):
             assert enumerate_perfect_matchings.cache_info().misses == before, (fn.__name__, name)
 
 
+def _complete(n: int, offset: int) -> MultiGraph:
+    return _ids_shifted(MultiGraph.from_pairs(n, itertools.combinations(range(n), 2)), offset)
+
+
 def test_table_adds_little_over_its_masks():
     """The K12 table keeps the enumeration's masks and per-bit indices:
     under 1 MiB on top of its 10,395 masks (8.4 MiB while it also held a
     PerfectMatching per matching)."""
-    g = _ids_shifted(MultiGraph.from_pairs(12, itertools.combinations(range(12), 2)), 5000)
+    g = _complete(12, 5000)
     matching_masks(g)
     misses = matching_table.cache_info().misses
     tracemalloc.start()
@@ -108,6 +112,30 @@ def test_table_adds_little_over_its_masks():
         tracemalloc.stop()
     assert matching_table.cache_info().misses == misses + 1
     assert held < 2**20
+
+
+def test_table_build_peak_stays_near_its_size():
+    """K14's columns are read ``COLS_SLICE`` matchings at a time, so the
+    build peaks under 8 MiB over its 135,135 masks (30.9 MiB when one string
+    held every mask's digits) for a table of about 1.5 MiB."""
+    g = _complete(14, 6000)
+    matching_masks(g)
+    tracemalloc.start()
+    try:
+        matching_table(g)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2**20 and peak < 8 * 2**20
+
+
+def test_table_columns_across_slices():
+    """K12's 10,395 matchings span three slices; every column is the face
+    mask of the matchings using its edge bit."""
+    t = matching_table(_complete(12, 7000))
+    assert len(t.masks) > 2 * COLS_SLICE
+    for b, col in enumerate(t.cols):
+        assert col == sum(1 << i for i, m in enumerate(t.masks) if m >> b & 1), b
 
 
 def test_long_path_masks_list_one_matching():
