@@ -2,15 +2,16 @@
 table, matching-covered testing, matching surgery across cuts, and integer
 decomposition of points of kP.
 
-Enumeration is exhaustive backtracking over the least-index uncovered
-vertex, on an explicit stack, into one int per matching (``matching_masks``,
-bit b the edge of the b-th largest id).  That is the one matching layout:
-the table, the matching-covered verdict and ``pm list`` read the masks, and
-``enumerate_perfect_matchings`` decodes them only for callers that return
-matchings.  Counting walks the same search tree but merges its nodes by the
-set of uncovered vertices, so it never lists a matching and costs at most
-what enumeration costs (K16's 2,027,025 matchings are counted through 1,597
-vertex sets).
+Listing and counting run one walk (``_walk``), a layer at a time: the
+least uncovered vertex is matched to each uncovered neighbour, once per
+parallel edge, and the partial matchings that leave the same set of
+uncovered vertices share one value.  Counting carries their number, so it
+lists no matching (K16's 2,027,025 through 1,597 sets); listing carries
+their masks, one int per matching (bit b the edge of the b-th largest id),
+into only the sets from which a perfect matching can still be completed.
+The masks are the one matching layout: the table, the matching-covered
+verdict and ``pm list`` read them, and ``enumerate_perfect_matchings``
+decodes them only for callers that return matchings.
 
 ``matching_table(g)`` keeps the masks with indices over their bits: the
 edge id of each bit, a star mask per vertex, and per edge the set of
@@ -28,7 +29,7 @@ table and matching-covered verdict are kept in the graph's memo
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import PreconditionViolated, TheoremFalsified
 from .graph import Cut, MultiGraph, cut_contractions, is_connected, per_graph
@@ -59,39 +60,62 @@ def incidence_vectors(g: MultiGraph, matchings: Iterable[PerfectMatching]) -> li
     return [m.incidence_on(g) for m in matchings]
 
 
+def _stars(g: MultiGraph) -> list[list[tuple[int, int]]] | None:
+    """(edge id, neighbour bit) per edge at each vertex, or None when g
+    plainly has no perfect matching: |V| odd or a vertex that no edge
+    touches, found before anything of size |V| is built."""
+    n = g.vertex_count
+    if n % 2 or len({w for _, u, v in g.edges for w in (u, v)}) < n:
+        return None
+    return [[(eid, 1 << w) for eid, w in row] for row in g.adjacency()]
+
+
+def _walk(stars: list, values: dict, carry: Callable | None = None, keep: Container | None = None) -> dict:
+    """One layer of the walk.  Each set of uncovered vertices in ``values``
+    (a bitmask) matches its least vertex to each uncovered neighbour, once
+    per parallel edge, and passes ``carry(value, edge id)``, or the value
+    itself, to the set left if ``keep`` has it; values that reach one set
+    are joined with ``+=``.  Sets are popped from ``values`` as their moves
+    are made, so the walk holds about one layer."""
+    nxt: dict = {}
+    while values:
+        uncovered, value = values.popitem()
+        low = uncovered & -uncovered
+        rest = uncovered ^ low
+        for eid, vbit in stars[low.bit_length() - 1]:
+            if rest & vbit:
+                left = rest ^ vbit
+                if left in nxt:
+                    nxt[left] += value if carry is None else carry(value, eid)
+                elif keep is None or left in keep:
+                    nxt[left] = value if carry is None else carry(value, eid)
+    return nxt
+
+
 @per_graph
 def matching_masks(g: MultiGraph) -> tuple[int, ...]:
     """Every perfect matching as an int whose bit m-1-r is the edge of the
     r-th smallest id, so canonical order is descending int order.
 
-    Depth-first: the least uncovered vertex is matched to each uncovered
-    neighbour in turn, once per parallel edge, on an explicit stack of
-    frames (uncovered vertices, chosen edges, untried edges of the vertex
-    being matched), so no recursion depth limit applies.
+    Three runs of the walk: one records the sets each layer reaches, one
+    keeps, from the last layer back, those with a move into a kept set (a
+    perfect matching can be completed from them), and one carries the
+    partial matchings of kept sets only, so none is a dead end.
     """
-    n = g.vertex_count
-    if n % 2:
+    stars = _stars(g)
+    if stars is None:
         return ()
-    if n == 0:
-        return (0,)
+    reach = [{(1 << len(stars)) - 1: 0}]
+    for _ in range(len(stars) // 2):
+        reach.append(_walk(stars, dict(reach[-1])))
+    live = [reach.pop().keys() & {0}]
+    while reach:
+        live.append({s for s in reach.pop() if _walk(stars, {s: 0}, keep=live[-1])})
     bit = {eid: 1 << b for b, eid in enumerate(_edge_ids_by_bit(g))}
-    stars = [[(bit[eid], 1 << w) for eid, w in row] for row in g.adjacency()]
-    found: list[int] = []
-    stack = [(((1 << n) - 1) ^ 1, 0, iter(stars[0]))]
-    while stack:
-        rest, chosen, untried = stack[-1]
-        for ebit, vbit in untried:
-            if rest & vbit:
-                break
-        else:
-            stack.pop()
-            continue
-        left = rest ^ vbit
-        if left:
-            low = left & -left
-            stack.append((left ^ low, chosen | ebit, iter(stars[low.bit_length() - 1])))
-        else:
-            found.append(chosen | ebit)
+    masks = dict.fromkeys(live.pop(), [0])
+    while live:
+        masks = _walk(stars, masks, lambda found, eid: [m | bit[eid] for m in found], live.pop())
+    found = masks.get(0, [])
     found.sort(reverse=True)
     return tuple(found)
 
@@ -272,27 +296,15 @@ def matching_table(g: MultiGraph) -> MatchingTable:
 def count_perfect_matchings(g: MultiGraph) -> int:
     """Number of perfect matchings, parallel edges counted separately.
 
-    Branches like ``enumerate_perfect_matchings`` (least uncovered vertex
-    to each uncovered neighbour, once per parallel edge) but keeps, per
-    set of uncovered vertices as a bitmask, only the number of ways to
-    reach it.  Masks are processed one matched pair per layer, so no
-    recursion depth limit applies.
+    The walk carries, per set of uncovered vertices, only the number of
+    partial matchings that leave it.
     """
-    n = g.vertex_count
-    if n % 2:
+    stars = _stars(g)
+    if stars is None:
         return 0
-    # one bit per incident edge, so parallel edges branch separately
-    star_bits = [[1 << w for _, w in row] for row in g.adjacency()]
-    ways = {(1 << n) - 1: 1}
-    for _ in range(n // 2):
-        nxt: dict[int, int] = {}
-        for uncovered, k in ways.items():
-            low = uncovered & -uncovered
-            rest = uncovered ^ low
-            for bit in star_bits[low.bit_length() - 1]:
-                if rest & bit:
-                    nxt[rest ^ bit] = nxt.get(rest ^ bit, 0) + k
-        ways = nxt
+    ways = {(1 << len(stars)) - 1: 1}
+    for _ in range(len(stars) // 2):
+        ways = _walk(stars, ways)
     return ways.get(0, 0)
 
 
@@ -371,21 +383,21 @@ def extend_across_cut(g: MultiGraph, cut: Cut, inner: PerfectMatching) -> Perfec
 def idp_decompose(g: MultiGraph, x: Mapping[int, int], k: int) -> list[PerfectMatching]:
     """Write an integer point of kP as a sum of k perfect matchings.
 
-    Preconditions: x non-negative integral with x(delta(v)) = k at every
-    vertex, and g Birkhoff-von Neumann.  Each round removes the
+    Preconditions: x non-negative ints (not bools) with x(delta(v)) = k at
+    every vertex, and g Birkhoff-von Neumann.  Each round removes the
     lexicographically first perfect matching inside the support of the
     remainder; failure to find one would falsify the decomposition claim.
     """
     from .polytope import is_bvn  # local import; polytope builds on this module
 
-    if k <= 0:
+    if type(k) is not int or k <= 0:
         raise PreconditionViolated("bad_k", "k must be a positive integer")
     ids = set(g.edge_ids)
     if set(x) - ids:
         raise PreconditionViolated("bad_vector", "vector has unknown edge ids")
-    vals = {eid: int(x.get(eid, 0)) for eid in ids}
-    if any(v < 0 for v in vals.values()):
-        raise PreconditionViolated("bad_vector", "vector has a negative entry")
+    vals = {eid: x.get(eid, 0) for eid in ids}
+    if any(type(v) is not int or v < 0 for v in vals.values()):
+        raise PreconditionViolated("bad_vector", "vector entries must be non-negative ints")
     deg = [0] * g.vertex_count
     for eid, u, v in g.edges:
         deg[u] += vals[eid]

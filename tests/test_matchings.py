@@ -129,6 +129,43 @@ def test_table_build_peak_stays_near_its_size():
     assert held < 2 * 2**20 and peak < 8 * 2**20
 
 
+def test_listing_peak_stays_near_its_masks():
+    """The walk drops each vertex set's partial matchings once they are
+    carried on, so listing K14 peaks under 2 MiB above the 135,135 masks it
+    returns (a walk holding two whole layers peaks about 5.8 MiB above)."""
+    g = _complete(14, 8000)
+    tracemalloc.start()
+    try:
+        masks = matching_masks(g)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(masks) == 135135 and peak - held < 2 * 2**20
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_listing_carries_no_dead_ends():
+    """Listing carries only partial matchings that can still be completed.
+    K15 on 0..14 with vertex 15 joined to 14, 16 and 17 has no perfect
+    matching (16 and 17 both need 15), though 2,027,025 partial matchings
+    of its K14 part lead into one layer; with a pendant vertex 13 on K13's
+    vertex 12 only the 10,395 that leave 12 for 13 can be completed, out
+    of 135,135.  Carrying the dead ends would peak near 100 and 7 MiB."""
+    barrier = MultiGraph.from_pairs(18, [*itertools.combinations(range(15), 2), (14, 15), (15, 16), (15, 17)])
+    masks, peak = _traced_peak(lambda: matching_masks(barrier))
+    assert masks == () and peak < 2**20
+    pendant = MultiGraph.from_pairs(14, [*itertools.combinations(range(13), 2), (12, 13)])
+    masks, peak = _traced_peak(lambda: matching_masks(pendant))
+    assert len(masks) == 10395 and peak < 2 * 2**20
+
+
 def test_table_columns_across_slices():
     """K12's 10,395 matchings span three slices; every column is the face
     mask of the matchings using its edge bit."""
@@ -143,6 +180,18 @@ def test_long_path_masks_list_one_matching():
     g = MultiGraph.from_pairs(n, [(i, i + 1) for i in range(n - 1)])
     assert len(matching_masks(g)) == 1
     assert list(matching_edge_ids(g)) == [list(range(0, n - 1, 2))]
+
+
+def test_untouched_vertex_ends_the_walk(monkeypatch):
+    """A vertex that no edge touches leaves no perfect matching, so the walk
+    stops before it builds anything of size |V| (a billion vertices here)."""
+    def refuse(self):
+        raise AssertionError("adjacency built")
+
+    monkeypatch.setattr(MultiGraph, "adjacency", refuse)
+    g = MultiGraph(10**9, ((0, 0, 1),))
+    assert count_perfect_matchings(g) == 0
+    assert matching_masks(g) == ()
 
 
 def test_count_edge_cases():
@@ -260,3 +309,12 @@ def test_idp_rejects_bad_inputs(corpus):
     with pytest.raises(PreconditionViolated) as err:
         idp_decompose(prism, {e: 1 for e in prism.edge_ids}, 3)
     assert err.value.reason == "bvn"
+    c6 = corpus["c6"]  # int() would read 1.5 as 1 and decompose another vector
+    for x, k, reason in (({0: 1.5, 2: 1, 4: 1}, 1, "bad_vector"),
+                         ({0: "1", 2: 1, 4: 1}, 1, "bad_vector"),
+                         ({0: True, 2: 1, 4: 1}, 1, "bad_vector"),
+                         ({0: 1, 2: 1, 4: 1}, True, "bad_k"),
+                         ({0: 1, 2: 1, 4: 1}, 1.0, "bad_k")):
+        with pytest.raises(PreconditionViolated) as err:
+            idp_decompose(c6, x, k)
+        assert err.value.reason == reason, (x, k)
