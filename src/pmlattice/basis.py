@@ -4,6 +4,11 @@ separating facet-defining cut three times, bases for near-bricks with a
 Petersen brick, and the integral / lattice basis constructions with their
 mod-2 characterization of the matching lattice.
 
+One scan over the separating facet-defining cuts in canonical order finds
+the three-crossing pairs: ``intersect`` and P-LEMMA take its first pair,
+the brick step of the integral basis its first pair with Petersen-free
+sides.
+
 Everything here returns perfect matchings only; the integer span checks at
 the end of each construction are part of the contract, not optional
 debugging.
@@ -12,22 +17,20 @@ debugging.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .decomposition import (brick_count, canonical_parity_cycle,
-                            find_tight_cut, petersen_bricks, parity_sets,
-                            tight_cut_decomposition, tight_shores)
+from .decomposition import (brick_count, canonical_parity_cycle, find_tight_cut,
+                            petersen_bricks, parity_sets, tight_cut_decomposition)
 from .errors import DEFAULT_VERTEX_CAP, PreconditionViolated, TheoremFalsified
-from .graph import (Cut, MultiGraph, boundary, contract_shore,
-                    cut_contractions, five_cycles, is_petersen, make_cut,
-                    per_graph, shore_complement, shore_index_map, simplify)
+from .graph import (Cut, MultiGraph, boundary, cut_contractions, five_cycles,
+                    is_petersen, per_graph, simplify)
 from .linalg import (Echelon, Lattice, hnf, lattice_equal, lattice_index, lattice_member,
                      rank, saturation)
 from .matchings import (PerfectMatching, _is_perfect_matching_of,
                         enumerate_perfect_matchings, incidence_vectors,
                         matching_table, require_matching_covered, spread_order)
-from .polytope import (cut_face, cuts_equivalent, dim_by_rank, facet_masks, is_bvn,
-                       is_separating, separating_facet_defining_cuts, spanning_matchings)
+from .polytope import (dim_by_rank, is_bvn, is_separating,
+                       separating_facet_defining_cuts, spanning_matchings)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -132,7 +135,12 @@ def merge_bases(g: MultiGraph, cut: Cut, b1: Basis, b2: Basis,
 
     pin_idx: int | None = None
     if pin is not None:
-        pin_idx = pin if isinstance(pin, int) else b1.elements.index(pin)
+        if type(pin) is int and 0 <= pin < len(b1.elements):  # bools are not indices
+            pin_idx = pin
+        elif isinstance(pin, PerfectMatching) and pin in b1.elements:
+            pin_idx = b1.elements.index(pin)
+        else:
+            raise PreconditionViolated("bad_pin", "pin is neither an index of b1 nor one of its elements")
         covered: set[int] = set()
         for i, m in enumerate(b1.elements):
             if i != pin_idx:
@@ -349,14 +357,25 @@ class IntersectionPair(NamedTuple):
     cut: Cut
 
 
-def _intersection_preconditions(g: MultiGraph) -> None:
+def _intersection_preconditions(g: MultiGraph, max_vertices: int) -> None:
     require_matching_covered(g)
     if brick_count(g) != 1:
         raise PreconditionViolated("not_near_brick")
     if petersen_bricks(g):
         raise PreconditionViolated("petersen_brick")
-    if is_bvn(g)[0]:
+    if is_bvn(g, max_vertices)[0]:
         raise PreconditionViolated("bvn")
+
+
+def _three_crossing_pairs(g: MultiGraph, max_vertices: int) -> Iterator[IntersectionPair]:
+    """Each separating facet-defining cut, in canonical shore order, that
+    some perfect matching meets three times, with the first such matching.
+    The one search behind ``intersect``, the brick step and P-LEMMA."""
+    t = matching_table(g)
+    for cut in separating_facet_defining_cuts(g, max_vertices):
+        i = t.three_crossing(t.edge_mask(cut.boundary))
+        if i is not None:
+            yield IntersectionPair(enumerate_perfect_matchings(g)[i], cut)
 
 
 def find_intersection_pair(g: MultiGraph,
@@ -368,20 +387,18 @@ def find_intersection_pair(g: MultiGraph,
     BvN graphs; exhaustion without a hit raises a falsification certificate
     since such a pair is guaranteed to exist.
     """
-    _intersection_preconditions(g)
+    _intersection_preconditions(g, max_vertices)
+    pair = next(_three_crossing_pairs(g, max_vertices), None)
+    if pair is not None:
+        return pair
     t = matching_table(g)
-    cuts = separating_facet_defining_cuts(g, max_vertices)
-    bounds = [t.edge_mask(c.boundary) for c in cuts]
-    for cut, b in zip(cuts, bounds):
-        i = t.three_crossing(b)
-        if i is not None:
-            return IntersectionPair(enumerate_perfect_matchings(g)[i], cut)
     raise TheoremFalsified("a 3-intersecting (matching, cut) pair exists", {
         "vertex_count": g.vertex_count,
         "edges": [[eid, u, v] for eid, u, v in sorted(g.edges)],
         "cut_table": [{"shore": list(c.shore),
-                       "crossings": [(m & b).bit_count() for m in t.masks]}
-                      for c, b in zip(cuts, bounds)]})
+                       "crossings": [(m & t.edge_mask(c.boundary)).bit_count()
+                                     for m in t.masks]}
+                      for c in separating_facet_defining_cuts(g, max_vertices)]})
 
 
 # --- integral bases ----------------------------------------------------------
@@ -452,94 +469,22 @@ def _bvn_integral_elements(g: MultiGraph) -> tuple[PerfectMatching, ...]:
         "vertex_count": g.vertex_count, "matchings": len(t.masks)})
 
 
-class _GuidedStall(Exception):
-    pass
-
-
 def _sides_petersen_free(g: MultiGraph, cut: Cut) -> bool:
     ks, kc = cut_contractions(g, cut.shore_set)
     return not petersen_bricks(ks) and not petersen_bricks(kc)
 
 
-def _adjust_cut(g: MultiGraph, cut: Cut, m: PerfectMatching,
-                max_vertices: int) -> tuple[Cut, PerfectMatching]:
-    """Trade a 3-intersected cut with a Petersen-brick side for one with
-    Petersen-free sides, still 3-intersected by some matching.
-
-    Guided path: shrink the cut through equivalent tight-cut shores until
-    the kept side is itself a Petersen brick, then switch to the boundary
-    of one of its 5-cycles and re-search for a 3-crossing matching.  Any
-    verification failure on the way falls back to the exhaustive scan over
-    all separating facet-defining cuts with Petersen-free sides.
-    """
-    t = matching_table(g)
-
-    def guided() -> tuple[Cut, PerfectMatching]:
-        side = None
-        for cand in (cut.shore_set, shore_complement(g, cut.shore_set)):
-            if petersen_bricks(contract_shore(g, cand)):
-                side = cand
-                break
-        if side is None:
-            raise _GuidedStall
-        current = cut
-        x = frozenset(side)
-        for _ in range(g.vertex_count):
-            kept = contract_shore(g, x)
-            shores_h = tight_shores(kept)
-            if not shores_h:
-                if not is_petersen(kept):
-                    raise _GuidedStall
-                break
-            c_vertex = len(x)
-            back = {new: old for old, new in shore_index_map(x).items()}
-            # representative side avoiding the contraction vertex
-            tight_zs = [tuple(sorted(set(range(kept.vertex_count)) - set(shore_h)))
-                        if c_vertex in shore_h else shore_h for shore_h in shores_h]
-            z_h = min(tight_zs, key=lambda t: (len(t), t))
-            z = frozenset(back[v] for v in z_h)
-            new_cut = make_cut(g, z)
-            same_face = cut_face(g, current.boundary) == cut_face(g, new_cut.boundary)
-            if not (same_face and cuts_equivalent(g, current, new_cut)
-                    and is_separating(g, new_cut.shore)
-                    and len(m.edge_ids & new_cut.boundary) == 3):
-                raise _GuidedStall
-            current, x = new_cut, z
-        kept = contract_shore(g, x)
-        if find_tight_cut(kept) is not None or not is_petersen(kept):
-            raise _GuidedStall
-        facets = facet_masks(g)
-        c_vertex = len(x)
-        back = {new: old for old, new in shore_index_map(x).items()}
-        for verts, _ in five_cycles(kept):
-            if c_vertex in verts:
-                continue
-            y = frozenset(back[v] for v in verts)
-            d_cut = make_cut(g, y)
-            face = cut_face(g, d_cut.boundary)
-            if face not in facets:
-                continue
-            if not is_separating(g, d_cut.shore) or not _sides_petersen_free(g, d_cut):
-                continue
-            i = t.three_crossing(t.edge_mask(d_cut.boundary))
-            if i is not None:
-                return d_cut, enumerate_perfect_matchings(g)[i]
-        raise _GuidedStall
-
-    try:
-        return guided()
-    except _GuidedStall:
-        for c2 in separating_facet_defining_cuts(g, max_vertices):
-            if not _sides_petersen_free(g, c2):
-                continue
-            i = t.three_crossing(t.edge_mask(c2.boundary))
-            if i is not None:
-                return c2, enumerate_perfect_matchings(g)[i]
-        raise TheoremFalsified(
-            "a separating facet-defining cut with Petersen-free sides and a "
-            "3-crossing matching exists", {
-                "vertex_count": g.vertex_count,
-                "edges": [[eid, u, v] for eid, u, v in sorted(g.edges)]})
+def _brick_pair(g: MultiGraph, max_vertices: int) -> IntersectionPair:
+    """The brick step's pair: the scan's first cut whose two sides are
+    Petersen-free, tested only on cuts some matching meets three times."""
+    for pair in _three_crossing_pairs(g, max_vertices):
+        if _sides_petersen_free(g, pair.cut):
+            return pair
+    raise TheoremFalsified(
+        "a separating facet-defining cut with Petersen-free sides and a "
+        "3-crossing matching exists", {
+            "vertex_count": g.vertex_count,
+            "edges": [[eid, u, v] for eid, u, v in sorted(g.edges)]})
 
 
 def _integral_elements(g: MultiGraph, max_vertices: int) -> tuple[PerfectMatching, ...]:
@@ -549,11 +494,8 @@ def _integral_elements(g: MultiGraph, max_vertices: int) -> tuple[PerfectMatchin
         return out
     cut, extra, stage = find_tight_cut(g), (), "tight_cut_merge"
     if cut is None:
-        pair = find_intersection_pair(g, max_vertices)
-        cut, m = pair.cut, pair.matching
-        if not _sides_petersen_free(g, cut):
-            cut, m = _adjust_cut(g, cut, m, max_vertices)
-        extra, stage = (m,), "brick_step"
+        pair = _brick_pair(g, max_vertices)
+        cut, extra, stage = pair.cut, (pair.matching,), "brick_step"
     ks, kc = cut_contractions(g, cut.shore_set)
     res = merge_bases(g, cut,
                       Basis(ks, _integral_elements(ks, max_vertices), "integral"),

@@ -173,7 +173,10 @@ def _is_json_int(x) -> bool:
 
 def parse_graph_file(text: str) -> tuple[str, MultiGraph]:
     """Parse and validate a GraphFile; raises ValueError on any violation."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("GraphFile nests too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("GraphFile must be a JSON object")
     name = data.get("name")

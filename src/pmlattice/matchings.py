@@ -138,22 +138,19 @@ def matching_edge_ids(g: MultiGraph) -> Iterator[list[int]]:
 
 
 class MatchingIdLists:
-    """Every matching's sorted edge ids in canonical order, as an iterable
-    of lists (``matching_edge_ids``) that ``corpus.write_json`` writes
+    """Every matching's sorted edge ids in canonical order, the lists of
+    ``matching_edge_ids``, as JSON text that ``corpus.write_json`` writes
     through ``json_chunks``, without building the lists."""
 
     def __init__(self, g: MultiGraph):
         self.graph = g
 
-    def __iter__(self) -> Iterator[list[int]]:
-        return matching_edge_ids(self.graph)
-
     def json_chunks(self, pad: str) -> Iterator[str]:
         """The JSON text of the list of id lists at indent ``pad``, as
-        ``json.dumps(list(self), indent=2)`` nests it, 256 matchings per
-        chunk.  Each mask is rendered one byte at a time: per
-        byte position, a table built once maps each of the 256 byte values
-        to the text of its edge ids, smallest id first."""
+        ``json.dumps(list(matching_edge_ids(g)), indent=2)`` nests it,
+        256 matchings per chunk.  Each mask is rendered one byte at a time:
+        per byte position, a table built once maps each of the 256 byte
+        values to the text of its edge ids, smallest id first."""
         by_bit = _edge_ids_by_bit(self.graph)
         inner, leaf = pad + "  ", pad + "    "
         width = (len(by_bit) + 7) // 8

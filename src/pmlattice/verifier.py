@@ -20,8 +20,7 @@ from .graph import (MultiGraph, contract_shore, cut_contractions,
                     is_bipartite, is_petersen, make_cut,
                     shore_complement, shore_index_map)
 from .linalg import lattice_member
-from .matchings import (enumerate_perfect_matchings, matching_covered, matching_table,
-                        require_matching_covered)
+from .matchings import matching_covered, matching_table, require_matching_covered
 from .polytope import (check_cap, cut_face, cuts_equivalent, dim_by_rank,
                        enumerate_codim2_faces, enumerate_facets, facet_incidence, is_bvn,
                        is_separating, members_dim, polytope_dim, separating_cuts,
@@ -286,14 +285,11 @@ def _p_lemma(g: MultiGraph, cap: int) -> tuple[str, dict]:
         return "pass", {"branch": "petersen", "vertices": g.vertex_count}
     if is_bvn(g, cap)[0]:
         return "pass", {"branch": "bvn", "vertices": g.vertex_count}
-    t = matching_table(g)
-    for cut in separating_facet_defining_cuts(g, cap):
-        i = t.three_crossing(t.edge_mask(cut.boundary))
-        if i is not None:
-            return "pass", {"branch": "three_intersection",
-                            "shore": list(cut.shore),
-                            "matching": sorted(enumerate_perfect_matchings(g)[i].edge_ids)}
-    return "fail", {"reason": "trichotomy exhausted with no 3-intersecting pair"}
+    from .basis import find_intersection_pair
+
+    pair = find_intersection_pair(g, cap)  # raises TheoremFalsified on exhaustion
+    return "pass", {"branch": "three_intersection", "shore": list(pair.cut.shore),
+                    "matching": sorted(pair.matching.edge_ids)}
 
 
 def _p_lemma_count(g: MultiGraph, cap: int) -> tuple[str, dict]:

@@ -14,12 +14,13 @@ from pmlattice.basis import (Basis, characterize_lattice,
 from pmlattice.corpus import random_matching_covered
 from pmlattice.decomposition import (canonical_parity_cycle, find_tight_cut, parity_sets,
                                      petersen_bricks)
-from pmlattice.errors import PreconditionViolated
+from pmlattice.errors import PreconditionViolated, TheoremFalsified, VertexCapExceeded
 from pmlattice.graph import MultiGraph, boundary, cut_contractions, five_cycles, make_cut
 from pmlattice.linalg import hnf, lattice_equal, lattice_index, rank
 from pmlattice.matchings import (MatchingTable, enumerate_perfect_matchings,
                                  incidence_vectors, matching_table)
-from pmlattice.polytope import dim_by_rank, is_bvn, separating_cuts
+from pmlattice.polytope import (dim_by_rank, is_bvn, separating_cuts,
+                                separating_facet_defining_cuts)
 
 from conftest import (bareiss_rank, matching_rows, oracle_hnf, oracle_index,
                       oracle_parity_lattice, oracle_saturation)
@@ -76,22 +77,42 @@ def test_merge_rejects_non_separating(corpus):
         merge_bases(g, cut, pm_linear_basis(g), pm_linear_basis(g))
 
 
-def test_merge_pin_occurs_once(corpus):
+def _petersen_merge(corpus):
+    """pete-c4-splice, its cut range(9), the Petersen side's 6-element
+    family as b1 and a linear basis of the other side as b2."""
+    from pmlattice.basis import _petersen_family
+
     g = corpus["pete-c4-splice"]
     cut = make_cut(g, tuple(range(9)))
     ks, kc = cut_contractions(g, cut.shore_set)
     pet_side = ks if len(ks.edges) == 15 else kc
     other = kc if pet_side is ks else ks
     verts, _ = canonical_parity_cycle(pet_side)
-    from pmlattice.basis import _petersen_family
-
     fam = _petersen_family(pet_side, verts)
-    res = merge_bases(g, cut, Basis(pet_side, tuple(fam), "linear"),
-                      pm_linear_basis(other), pin=0)
+    return g, cut, Basis(pet_side, tuple(fam), "linear"), pm_linear_basis(other)
+
+
+def test_merge_pin_occurs_once(corpus):
+    g, cut, b1, b2 = _petersen_merge(corpus)
+    res = merge_bases(g, cut, b1, b2, pin=0)
     assert res.zstar is not None
-    pin_edges = fam[0].edge_ids
+    pin_edges = b1.elements[0].edge_ids
     hits = [i for i, z in enumerate(res.basis.elements) if pin_edges <= z.edge_ids]
     assert hits == [res.zstar]
+
+
+@pytest.mark.parametrize("pin", [-1, -6, 6, True, "foreign"])
+def test_merge_rejects_a_bad_pin(corpus, pin):
+    """A pin that is neither an index of b1 nor one of its elements is a
+    bad argument, not a refutation (-1 and -6 used to raise
+    TheoremFalsified, 6 IndexError, a foreign matching ValueError, and
+    True was read as index 1)."""
+    g, cut, b1, b2 = _petersen_merge(corpus)
+    if pin == "foreign":
+        pin = b2.elements[0]
+    with pytest.raises(PreconditionViolated) as err:
+        merge_bases(g, cut, b1, b2, pin=pin)
+    assert err.value.reason == "bad_pin"
 
 
 def test_coefficient_transfer_unit_case(corpus):
@@ -193,6 +214,21 @@ def test_find_intersection_pair(corpus):
         assert err.value.reason == reason, name
 
 
+def test_find_intersection_pair_scans_under_the_callers_cap():
+    """The BvN precondition scans under ``max_vertices`` too: the
+    18-vertex prism over C9 is found with a cap of 18 (the precondition
+    used to scan under the default cap of 16 and raise)."""
+    k = 9
+    g = MultiGraph.from_pairs(2 * k, [(i, (i + 1) % k) for i in range(k)]
+                              + [(k + i, k + (i + 1) % k) for i in range(k)]
+                              + [(i, k + i) for i in range(k)])
+    with pytest.raises(VertexCapExceeded):
+        find_intersection_pair(g)
+    pair = find_intersection_pair(g, 18)
+    assert pair.cut.shore == tuple(range(k))
+    assert len(pair.matching.edge_ids & pair.cut.boundary) == 3
+
+
 def test_integral_basis_examples(corpus):
     ms = enumerate_perfect_matchings(corpus["k4"])
     b = integral_basis(corpus["k4"])
@@ -207,6 +243,21 @@ def test_integral_basis_postcheck_oracle(corpus):
         b = integral_basis(g)
         got = hnf(b.vectors(), len(g.edges))
         assert lattice_equal(got, matching_saturation(g)), name
+
+
+def test_bvn_basis_falls_back_to_the_subset_search(corpus, monkeypatch):
+    """When the greedy linear basis of a BvN graph is not integral, the
+    first independent subset in lexicographic order whose span is the
+    saturation is returned."""
+    g = corpus["cube"]
+    ms = enumerate_perfect_matchings(g)
+    greedy = tuple(ms[i] for i in (1, 2, 3, 5, 6, 7))
+    assert lattice_index(hnf(incidence_vectors(g, greedy), len(g.edges)),
+                         matching_saturation(g)) == 2
+    monkeypatch.setattr(basis, "pm_linear_basis", lambda h: Basis(h, greedy, "linear"))
+    b = integral_basis(g)
+    assert b.elements == tuple(ms[i] for i in (0, 1, 2, 3, 5, 6))
+    assert lattice_equal(hnf(b.vectors(), len(g.edges)), matching_saturation(g))
 
 
 def test_integral_basis_merges_at_a_tight_cut(monkeypatch):
@@ -286,7 +337,7 @@ def test_petersen_parity_evenness(corpus):
 def _triangle_expanded_petersen():
     # split vertex 0 of the Petersen graph into a triangle {0, 10, 11}:
     # a Petersen-free non-BvN brick whose triangle cut contracts back onto
-    # a Petersen brick, which forces the cut-adjustment path
+    # a Petersen brick, which the brick step has to pass over
     from pmlattice.graph import MultiGraph
 
     pairs = ((0, 1), (1, 2), (2, 3), (3, 4), (10, 4), (11, 5), (1, 6), (2, 7),
@@ -296,24 +347,45 @@ def _triangle_expanded_petersen():
 
 
 def test_cut_adjustment_on_expanded_petersen(corpus):
-    from pmlattice.basis import _adjust_cut, _sides_petersen_free
+    from pmlattice.basis import _brick_pair, _sides_petersen_free
     from pmlattice.decomposition import brick_count, petersen_bricks
 
     g = _triangle_expanded_petersen()
     assert brick_count(g) == 1 and not petersen_bricks(g)
     pair = find_intersection_pair(g)
     # the first pair found is the triangle cut, whose far side is a
-    # Petersen brick, so the construction must trade the cut away
+    # Petersen brick, so the brick step must trade the cut away
     assert pair.cut.shore == (0, 10, 11)
     assert not _sides_petersen_free(g, pair.cut)
-    new_cut, new_m = _adjust_cut(g, pair.cut, pair.matching, 16)
-    assert _sides_petersen_free(g, new_cut)
-    assert len(new_m.edge_ids & new_cut.boundary) == 3
+    # it takes the first cut, in canonical order, with Petersen-free sides
+    # that some matching meets three times, and the first such matching
+    new = _brick_pair(g, 16)
+    assert new.cut.shore == (0, 1, 2, 3, 4, 10, 11)
+    assert sorted(new.matching.edge_ids) == [0, 4, 5, 7, 8, 12]
+    assert _sides_petersen_free(g, new.cut)
+    assert len(new.matching.edge_ids & new.cut.boundary) == 3
+    ms = enumerate_perfect_matchings(g)
+    cuts = separating_facet_defining_cuts(g)
+    for c in cuts[:cuts.index(new.cut)]:
+        assert not (_sides_petersen_free(g, c)
+                    and any(len(m.edge_ids & c.boundary) == 3 for m in ms)), c.shore
+    assert new.matching == next(m for m in ms if len(m.edge_ids & new.cut.boundary) == 3)
     # the full construction runs the same path end to end
     b = integral_basis(g)
+    assert b.elements[-1] == new.matching
     assert lattice_equal(hnf(b.vectors(), len(g.edges)), matching_saturation(g))
     rep = characterize_lattice(g)
     assert rep.index == 1 and rep.equality_holds
+
+
+def test_brick_step_without_a_petersen_free_cut_is_falsified(monkeypatch):
+    monkeypatch.setattr(basis, "_sides_petersen_free", lambda g, cut: False)
+    g = _triangle_expanded_petersen()
+    with pytest.raises(TheoremFalsified) as err:
+        integral_basis(g)
+    assert err.value.claim == ("a separating facet-defining cut with Petersen-free "
+                               "sides and a 3-crossing matching exists")
+    assert err.value.certificate["vertex_count"] == 12
 
 
 def test_saturation_index_is_power_of_two(corpus):

@@ -21,7 +21,7 @@ from pmlattice.corpus import (CORPUS_NAMES, corpus_graph, dump_graph_file,
                               graph_to_file_dict, parse_graph_file,
                               random_matching_covered, write_json)
 from pmlattice.graph import MultiGraph
-from pmlattice.matchings import is_matching_covered
+from pmlattice.matchings import is_matching_covered, matching_edge_ids
 
 from conftest import build_parser
 
@@ -215,6 +215,26 @@ def test_graph_file_rejects_booleans(tmp_path, capsys, doc):
     assert report["status"] == "error"
     assert report["result"]["error"] == "ValueError"
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("inside_edges", [False, True])
+def test_deeply_nested_graph_file_exits_2(tmp_path, capsys, inside_edges):
+    """200,000 nested JSON arrays, alone or as "edges", nest past the
+    parser's recursion limit: a bad GraphFile, so exit 2 with a structured
+    error and nothing on stderr, in a fresh process as in process."""
+    text = "[" * 200_000 + "]" * 200_000
+    if inside_edges:
+        text = f'{{"name": "x", "vertex_count": 2, "edges": {text}}}'
+    with pytest.raises(ValueError):
+        parse_graph_file(text)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    argv = ["pm", "count", "--input", str(path)]
+    proc = _fresh_python("-m", "pmlattice.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(argv, capsys)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["result"] == {"error": "ValueError",
+                                                 "message": "GraphFile nests too deeply"}
 
 
 def test_cli_cap_exceeded(tmp_path, capsys):
@@ -526,9 +546,14 @@ def test_report_writer_matches_json_dumps(doc):
     assert _written(_as_iterators(doc)) == expected
 
 
+def _id_lists(obj) -> list[list[int]]:
+    return list(matching_edge_ids(obj.graph))
+
+
 def test_every_report_equals_json_dumps_of_its_result(tmp_path, capsys):
     """Each graph command on each corpus graph writes the bytes that
-    ``json.dumps(report, indent=2)`` gives for the report it computed."""
+    ``json.dumps(report, indent=2)`` gives for the report it computed,
+    with ``pm list``'s matchings as the lists of ``matching_edge_ids``."""
     for name in CORPUS_NAMES:
         path = tmp_path / f"{name}.json"
         path.write_text(dump_graph_file(name, corpus_graph(name)))
@@ -536,7 +561,7 @@ def test_every_report_equals_json_dumps_of_its_result(tmp_path, capsys):
             argv = command + ["--input", str(path)]
             code, out = _run(argv, capsys)
             report, want_code = cli._run(cli.parse_args(argv))
-            assert (code, out) == (want_code, json.dumps(report, indent=2, default=list) + "\n"), \
+            assert (code, out) == (want_code, json.dumps(report, indent=2, default=_id_lists) + "\n"), \
                 (name, command)
 
 

@@ -54,6 +54,23 @@ def test_p_lemma_branches(corpus):
     assert r.status == "pass" and r.certificate == {"vacuous": "not a brick"}
 
 
+def test_p_lemma_three_intersection_branch(corpus, monkeypatch):
+    """With every codim-2 face taken as edge-exposed (none at all), the
+    prism reaches the last branch, which reports the ``intersect`` pair;
+    exhausting the scan is a failure with the falsified claim."""
+    from pmlattice import basis, verifier
+
+    monkeypatch.setattr(verifier, "enumerate_codim2_faces", lambda g, cap: [])
+    r = verify_property(corpus["prism"], "P-LEMMA", "prism")
+    assert r.to_payload() == {"property": "P-LEMMA", "graph": "prism", "status": "pass",
+                              "certificate": {"branch": "three_intersection",
+                                              "shore": [0, 1, 2], "matching": [6, 7, 8]}}
+    monkeypatch.setattr(basis, "_three_crossing_pairs", lambda g, cap: iter(()))
+    r = verify_property(corpus["prism"], "P-LEMMA", "prism")
+    assert r.status == "fail"
+    assert r.certificate["claim"] == "a 3-intersecting (matching, cut) pair exists"
+
+
 def test_p_lemma_count_petersen_numbers(corpus):
     r = verify_property(corpus["petersen"], "P-LEMMA-COUNT", "petersen")
     assert r.status == "pass"
