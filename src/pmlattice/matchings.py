@@ -2,13 +2,14 @@
 table, matching-covered testing, matching surgery across cuts, and integer
 decomposition of points of kP.
 
-Listing and counting run one walk (``_walk``), a layer at a time: the
+Listing and counting run one walk (``_layers``), a layer at a time: the
 least uncovered vertex is matched to each uncovered neighbour, once per
 parallel edge, and the partial matchings that leave the same set of
-uncovered vertices share one value.  Counting carries their number, so it
-lists no matching (K16's 2,027,025 through 1,597 sets); listing carries
-their masks, one int per matching (bit b the edge of the b-th largest id),
-into only the sets from which a perfect matching can still be completed.
+uncovered vertices share one number.  Counting keeps the last layer, so it
+lists no matching (K16's 2,027,025 through 1,597 sets); listing keeps every
+layer and then builds the masks backward from the last, one int per
+matching (bit b the edge of the b-th largest id), only for sets from which
+a perfect matching can be completed.
 The masks are the one matching layout: the table, the matching-covered
 verdict and ``pm list`` read them, and ``enumerate_perfect_matchings``
 decodes them only for callers that return matchings.
@@ -29,7 +30,7 @@ table and matching-covered verdict are kept in the graph's memo
 
 from __future__ import annotations
 
-from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import PreconditionViolated, TheoremFalsified
 from .graph import Cut, MultiGraph, cut_contractions, is_connected, per_graph
@@ -61,35 +62,36 @@ def incidence_vectors(g: MultiGraph, matchings: Iterable[PerfectMatching]) -> li
 
 
 def _stars(g: MultiGraph) -> list[list[tuple[int, int]]] | None:
-    """(edge id, neighbour bit) per edge at each vertex, or None when g
-    plainly has no perfect matching: |V| odd or a vertex that no edge
-    touches, found before anything of size |V| is built."""
+    """(edge id, neighbour) per edge at each vertex, or None when g plainly
+    has no perfect matching: |V| odd or a vertex that no edge touches,
+    found before anything of size |V| is built."""
     n = g.vertex_count
     if n % 2 or len({w for _, u, v in g.edges for w in (u, v)}) < n:
         return None
-    return [[(eid, 1 << w) for eid, w in row] for row in g.adjacency()]
+    return g.adjacency()
 
 
-def _walk(stars: list, values: dict, carry: Callable | None = None, keep: Container | None = None) -> dict:
-    """One layer of the walk.  Each set of uncovered vertices in ``values``
-    (a bitmask) matches its least vertex to each uncovered neighbour, once
-    per parallel edge, and passes ``carry(value, edge id)``, or the value
-    itself, to the set left if ``keep`` has it; values that reach one set
-    are joined with ``+=``.  Sets are popped from ``values`` as their moves
-    are made, so the walk holds about one layer."""
-    nxt: dict = {}
-    while values:
-        uncovered, value = values.popitem()
-        low = uncovered & -uncovered
-        rest = uncovered ^ low
-        for eid, vbit in stars[low.bit_length() - 1]:
-            if rest & vbit:
-                left = rest ^ vbit
-                if left in nxt:
-                    nxt[left] += value if carry is None else carry(value, eid)
-                elif keep is None or left in keep:
-                    nxt[left] = value if carry is None else carry(value, eid)
-    return nxt
+def _layers(stars: list[list[tuple[int, int]]]) -> Iterator[dict[int, int]]:
+    """The walk, one layer at a time: each layer maps a set of uncovered
+    vertices (a bitmask) to its number of partial matchings.  A set matches
+    its least vertex to each uncovered neighbour, once per parallel edge,
+    and its number is added to the set left, so a set's number is the sum
+    of its parents', one term per move in.  The first layer is the set of
+    every vertex, the last holds at most the empty set."""
+    ways = {(1 << len(stars)) - 1: 1}
+    yield ways
+    for _ in range(len(stars) // 2):
+        nxt: dict[int, int] = {}
+        for uncovered, count in ways.items():
+            low = uncovered & -uncovered
+            rest = uncovered ^ low
+            for _, w in stars[low.bit_length() - 1]:
+                vbit = 1 << w
+                if rest & vbit:
+                    left = rest ^ vbit
+                    nxt[left] = nxt.get(left, 0) + count
+        ways = nxt
+        yield ways
 
 
 @per_graph
@@ -97,25 +99,36 @@ def matching_masks(g: MultiGraph) -> tuple[int, ...]:
     """Every perfect matching as an int whose bit m-1-r is the edge of the
     r-th smallest id, so canonical order is descending int order.
 
-    Three runs of the walk: one records the sets each layer reaches, one
-    keeps, from the last layer back, those with a move into a kept set (a
-    perfect matching can be completed from them), and one carries the
-    partial matchings of kept sets only, so none is a dead end.
+    The walk's layers (``_layers``) are read from the last back: a set's
+    completions are its moves into sets with completions, each joined to
+    theirs, so no dead end is built, and a layer with none ends the pass.
+    Each move subtracts the set's number from the target's; at zero the
+    target's last move in is made and its completions are dropped.
     """
     stars = _stars(g)
     if stars is None:
         return ()
-    reach = [{(1 << len(stars)) - 1: 0}]
-    for _ in range(len(stars) // 2):
-        reach.append(_walk(stars, dict(reach[-1])))
-    live = [reach.pop().keys() & {0}]
-    while reach:
-        live.append({s for s in reach.pop() if _walk(stars, {s: 0}, keep=live[-1])})
+    layers = list(_layers(stars))
     bit = {eid: 1 << b for b, eid in enumerate(_edge_ids_by_bit(g))}
-    masks = dict.fromkeys(live.pop(), [0])
-    while live:
-        masks = _walk(stars, masks, lambda found, eid: [m | bit[eid] for m in found], live.pop())
-    found = masks.get(0, [])
+    counts = layers.pop()
+    below = dict.fromkeys(counts, [0])
+    while layers and below:
+        ways, here = layers.pop(), {}
+        for uncovered, count in ways.items():
+            low = uncovered & -uncovered
+            rest = uncovered ^ low
+            found: list[int] = []
+            for eid, w in stars[low.bit_length() - 1]:
+                left = rest ^ 1 << w  # w covered: one vertex too many for below
+                if left in below:
+                    found += [m | bit[eid] for m in below[left]]
+                    counts[left] -= count
+                    if not counts[left]:
+                        del below[left]
+            if found:
+                here[uncovered] = found
+        below, counts = here, ways
+    found = below.get((1 << len(stars)) - 1, [])
     found.sort(reverse=True)
     return tuple(found)
 
@@ -248,10 +261,6 @@ class MatchingTable(NamedTuple):
         """Incidence row of the edge mask ``edges`` in ``g.edges`` order."""
         return [edges >> b & 1 for b in self.row_bits]
 
-    def shore_face(self, shore: int) -> int:
-        """Face mask of delta(X) for the vertex set X given as a bitmask."""
-        return self.face(self.cut_mask(v for v in range(len(self.stars)) if shore >> v & 1))
-
     def three_crossing(self, cut: int) -> int | None:
         """Index of the first matching, in enumeration order, meeting the
         edge mask ``cut`` exactly three times, or None."""
@@ -291,17 +300,13 @@ def matching_table(g: MultiGraph) -> MatchingTable:
 
 
 def count_perfect_matchings(g: MultiGraph) -> int:
-    """Number of perfect matchings, parallel edges counted separately.
-
-    The walk carries, per set of uncovered vertices, only the number of
-    partial matchings that leave it.
-    """
+    """Number of perfect matchings, parallel edges counted separately:
+    the number of the empty set in the walk's last layer."""
     stars = _stars(g)
     if stars is None:
         return 0
-    ways = {(1 << len(stars)) - 1: 1}
-    for _ in range(len(stars) // 2):
-        ways = _walk(stars, ways)
+    for ways in _layers(stars):
+        pass
     return ways.get(0, 0)
 
 

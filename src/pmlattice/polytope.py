@@ -21,7 +21,7 @@ with no rank:
   once, that is iff its face is nonempty and its matchings use every edge
   (Carvalho, Lucchesi and Murty 2002; Lucchesi and Murty, *Perfect
   Matchings*).
-- Ridges (``enumerate_codim2_faces``).  In the face lattice of a polytope,
+- Ridges (``ridges``).  In the face lattice of a polytope,
   a face of dimension d-2 lies in exactly two facets and a smaller face in
   at least three (the diamond property; Ziegler, *Lectures on Polytopes*,
   Lecture 2), so the intersection of two facets is a (d-2)-face exactly
@@ -37,7 +37,7 @@ and for the verifier's checks.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (DEFAULT_VERTEX_CAP, PreconditionViolated, TheoremFalsified,
                      VertexCapExceeded)
@@ -341,17 +341,14 @@ def enumerate_facets(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> l
             for face in facets]
 
 
-def enumerate_codim2_faces(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Face]:
-    """Pairwise facet intersections of dimension d-2, deduplicated: those
-    held by no third facet (the diamond property; no rank).
-
-    Edge exposers are attached where the face is exactly P ∩ {x_e = 0}.
-    """
+def ridges(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> Iterator[int]:
+    """Face masks of the pairwise facet intersections of dimension d-2,
+    each once, in facet-pair order: those held by no third facet (the
+    diamond property; no rank)."""
     require_matching_covered(g)
     check_cap(g, max_vertices)
     d = polytope_dim(g)
     facets = list(facet_masks(g))
-    t = matching_table(g)
     incidence = facet_incidence(g)
     everyone = (1 << len(facets)) - 1
     seen: set[int] = set()
@@ -363,6 +360,17 @@ def enumerate_codim2_faces(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP
                 continue
             if not _held(face, incidence, facets, everyone ^ (1 << i | 1 << j)):
                 seen.add(face)
+                yield face
+
+
+def enumerate_codim2_faces(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Face]:
+    """Every ridge (``ridges``), in ``Face.key`` order.
+
+    Edge exposers are attached where the face is exactly P ∩ {x_e = 0}.
+    """
+    seen = set(ridges(g, max_vertices))
+    d = polytope_dim(g)
+    t = matching_table(g)
     by_edge: dict[int, list[int]] = {}
     for eid in g.edge_ids:
         face = t.avoiding(eid)

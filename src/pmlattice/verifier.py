@@ -23,7 +23,7 @@ from .linalg import lattice_member
 from .matchings import matching_covered, matching_table, require_matching_covered
 from .polytope import (check_cap, cut_face, cuts_equivalent, dim_by_rank,
                        enumerate_codim2_faces, enumerate_facets, facet_incidence, is_bvn,
-                       is_separating, members_dim, polytope_dim, separating_cuts,
+                       is_separating, members_dim, polytope_dim, ridges, separating_cuts,
                        separating_facet_defining_cuts, shore_faces, uncross)
 
 
@@ -224,7 +224,7 @@ def _p_triple(g: MultiGraph, cap: int) -> tuple[str, dict]:
     full_vertices = (1 << n) - 1
     odd_masks = [m for m in range(1, full_vertices)
                  if bin(m).count("1") % 2 == 1]
-    faces = {m: table.shore_face(m) for m in odd_masks}
+    faces = {m: table.face(table.cut_mask(v for v in range(n) if m >> v & 1)) for m in odd_masks}
     checked = 0
     for m2 in odd_masks:
         comp = full_vertices ^ m2
@@ -275,8 +275,9 @@ def _is_brick(g: MultiGraph) -> bool:
 def _p_lemma(g: MultiGraph, cap: int) -> tuple[str, dict]:
     if not _is_brick(g):
         return "pass", {"vacuous": "not a brick"}
-    codim2 = enumerate_codim2_faces(g, cap)
-    if not all(f.exposed_by_edges for f in codim2):
+    t = matching_table(g)
+    edge_faces = {t.avoiding(eid) for eid in g.edge_ids}
+    if any(face not in edge_faces for face in ridges(g, cap)):
         return "pass", {"vacuous": "a codim-2 face is not edge-exposed"}
     if g.vertex_count > 10:
         return "fail", {"reason": "premise holds but |V| > 10",

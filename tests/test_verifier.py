@@ -60,7 +60,7 @@ def test_p_lemma_three_intersection_branch(corpus, monkeypatch):
     exhausting the scan is a failure with the falsified claim."""
     from pmlattice import basis, verifier
 
-    monkeypatch.setattr(verifier, "enumerate_codim2_faces", lambda g, cap: [])
+    monkeypatch.setattr(verifier, "ridges", lambda g, cap: iter(()))
     r = verify_property(corpus["prism"], "P-LEMMA", "prism")
     assert r.to_payload() == {"property": "P-LEMMA", "graph": "prism", "status": "pass",
                               "certificate": {"branch": "three_intersection",
@@ -69,6 +69,23 @@ def test_p_lemma_three_intersection_branch(corpus, monkeypatch):
     r = verify_property(corpus["prism"], "P-LEMMA", "prism")
     assert r.status == "fail"
     assert r.certificate["claim"] == "a 3-intersecting (matching, cut) pair exists"
+
+
+def test_p_lemma_stops_at_the_first_ridge_not_edge_exposed(monkeypatch):
+    """P-LEMMA is vacuous once one ridge is not edge-exposed, so it tests
+    fewer ridges for a third facet than listing them all does."""
+    from pmlattice import polytope
+    from pmlattice.corpus import random_matching_covered
+
+    _, g = random_matching_covered(3, 14, 3)
+    polytope.facet_masks(g)
+    real, calls = polytope._held, []
+    monkeypatch.setattr(polytope, "_held", lambda *a: calls.append(a) or real(*a))
+    r = verify_property(g, "P-LEMMA", "random-v14-s3")
+    assert r.certificate == {"vacuous": "a codim-2 face is not edge-exposed"}
+    lemma = len(calls)
+    polytope.enumerate_codim2_faces(g)
+    assert lemma < len(calls) - lemma
 
 
 def test_p_lemma_count_petersen_numbers(corpus):
