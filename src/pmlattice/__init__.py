@@ -22,9 +22,9 @@ _EXPORTS = {  # module -> its public names, each imported on first access (PEP 5
              "make_cut petersen_graph simplify",
     "linalg": "Lattice hnf lattice_equal lattice_index lattice_member rank saturation snf",
     "matchings": "PerfectMatching count_perfect_matchings enumerate_perfect_matchings "
-                 "extend_across_cut idp_decompose is_matching_covered",
+                 "extend_across_cut is_matching_covered",
     "polytope": "CutClass Face classify_cut cuts_equivalent enumerate_codim2_faces "
-                "enumerate_facets is_bvn polytope_dim uncross",
+                "enumerate_facets idp_decompose is_bvn polytope_dim uncross",
     "verifier": "PROPERTY_IDS PropertyReport verify_all verify_property",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

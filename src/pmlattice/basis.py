@@ -19,8 +19,8 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .decomposition import (brick_count, canonical_parity_cycle, find_tight_cut,
-                            petersen_bricks, parity_sets, tight_cut_decomposition)
+from .decomposition import (brick_count, canonical_parity_cycle, find_tight_cut, parity_sets,
+                            petersen_bricks, spanning_matchings, tight_cut_decomposition)
 from .errors import DEFAULT_VERTEX_CAP, PreconditionViolated, TheoremFalsified
 from .graph import (Cut, MultiGraph, boundary, cut_contractions, five_cycles,
                     is_petersen, per_graph, simplify)
@@ -29,8 +29,8 @@ from .linalg import (Echelon, Lattice, hnf, lattice_equal, lattice_index, lattic
 from .matchings import (PerfectMatching, _is_perfect_matching_of,
                         enumerate_perfect_matchings, incidence_vectors,
                         matching_table, require_matching_covered, spread_order)
-from .polytope import (dim_by_rank, is_bvn, is_separating,
-                       separating_facet_defining_cuts, spanning_matchings)
+from .polytope import (is_bvn, is_separating, polytope_dim,
+                       separating_facet_defining_cuts)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -55,7 +55,7 @@ class Basis(NamedTuple):
 def _validate_side_basis(b: Basis) -> None:
     if b.kind not in ("linear", "lattice", "integral"):
         raise PreconditionViolated("bad_basis", f"unknown basis kind {b.kind!r}")
-    expected = dim_by_rank(b.graph) + 1
+    expected = polytope_dim(b.graph) + 1
     if len(b.elements) != expected:
         raise PreconditionViolated(
             "bad_basis", f"basis has {len(b.elements)} elements, needs 1+dim = {expected}")
@@ -70,11 +70,12 @@ def pm_linear_basis(g: MultiGraph) -> Basis:
     """Greedy linear basis of lin(P(G)) from the matching enumeration."""
     require_matching_covered(g)
     t = matching_table(g)
-    raised = Echelon(len(g.edges)).extend(map(t.row, t.masks), dim_by_rank(g) + 1)
+    d = polytope_dim(g)
+    raised = Echelon(len(g.edges)).extend(map(t.row, t.masks), d + 1)
     picked = [enumerate_perfect_matchings(g)[i] for i in raised]
-    if len(picked) != dim_by_rank(g) + 1:
+    if len(picked) != d + 1:
         raise TheoremFalsified("matchings span lin(P(G))", {
-            "picked": len(picked), "dim": dim_by_rank(g)})
+            "picked": len(picked), "dim": d})
     return Basis(g, tuple(picked), "linear")
 
 
@@ -460,7 +461,7 @@ def _bvn_integral_elements(g: MultiGraph) -> tuple[PerfectMatching, ...]:
     greedy = pm_linear_basis(g).elements
     if lattice_equal(_span_lattice(g, greedy), want):
         return greedy
-    need = dim_by_rank(g) + 1
+    need = polytope_dim(g) + 1
     for combo in itertools.combinations(range(len(t.masks)), need):
         vecs = [t.row(t.masks[i]) for i in combo]
         if rank(vecs) == need and lattice_equal(hnf(vecs, len(g.edges)), want):

@@ -26,7 +26,7 @@ from .cmdline import UsageError, parse_args
 from .corpus import (CORPUS_NAMES, corpus_graph, graph_to_file_dict,
                      parse_graph_file, random_matching_covered, write_json)
 from .errors import (DEFAULT_VERTEX_CAP, PmLatticeError, PreconditionViolated,
-                     TheoremFalsified, VertexCapExceeded)
+                     TheoremFalsified, VertexCapExceeded, check_cap)
 from .matchings import (MatchingIdLists, count_perfect_matchings, matching_masks,
                         require_matching_covered)
 
@@ -125,7 +125,12 @@ def _cmd_polytope(args, g: MultiGraph) -> dict:
 
 
 def _cmd_cuts(args, g: MultiGraph) -> dict:
-    from .polytope import check_cap, classify_all_cuts, facet_cuts, separating_cuts
+    if args.action == "tight":
+        from .decomposition import tight_shores
+        require_matching_covered(g)
+        check_cap(g, args.max_vertices)
+        return {"shores": [list(shore) for shore in tight_shores(g)]}
+    from .polytope import classify_all_cuts, facet_cuts, separating_cuts
     if args.action == "classify":
         return {"cuts": [{
             "shore": _shore(c.cut), "boundary": sorted(c.cut.boundary),
@@ -134,12 +139,7 @@ def _cmd_cuts(args, g: MultiGraph) -> dict:
         } for c in classify_all_cuts(g, args.max_vertices)]}
     if args.action == "separating":
         return {"shores": [_shore(c) for c in separating_cuts(g, args.max_vertices)]}
-    if args.action == "facet":
-        return {"shores": [_shore(c) for c in facet_cuts(g, args.max_vertices)]}
-    from .decomposition import tight_shores
-    require_matching_covered(g)
-    check_cap(g, args.max_vertices)
-    return {"shores": [list(shore) for shore in tight_shores(g)]}
+    return {"shores": [_shore(c) for c in facet_cuts(g, args.max_vertices)]}
 
 
 def _tree_payload(node) -> dict:

@@ -87,11 +87,13 @@ def random_matching_covered(seed: int, vertices: int, extra_matchings: int = 3) 
     Starts from a random perfect matching on the vertex set, unions
     ``extra_matchings`` further random perfect matchings (as a simple edge
     set), and keeps the result iff it is matching-covered; failed attempts
-    reseed deterministically.
+    reseed deterministically.  Drawing stops at the complete graph: later
+    draws add no edge, and it is matching-covered, so no retry follows.
     """
     if vertices < 2 or vertices % 2:
         raise ValueError("vertex count must be even and at least 2")
     rng = random.Random(seed)
+    complete = vertices * (vertices - 1) // 2
     for _ in range(1000):
         pairs: set[tuple[int, int]] = set()
         for _ in range(extra_matchings + 1):
@@ -100,6 +102,8 @@ def random_matching_covered(seed: int, vertices: int, extra_matchings: int = 3) 
             for i in range(0, vertices, 2):
                 u, v = perm[i], perm[i + 1]
                 pairs.add((u, v) if u < v else (v, u))
+            if len(pairs) == complete:
+                break
         g = MultiGraph.from_pairs(vertices, tuple(sorted(pairs)))
         if matching_covered(g):
             return f"random-v{vertices}-s{seed}", g

@@ -1,5 +1,7 @@
-"""Tight cut decomposition into bricks and braces, brick counting,
-Petersen-brick detection, and near-brick barrier extraction.
+"""Tight cut decomposition into bricks and braces, the certified dim P(G)
+and brick count b(G) (one owner, ``spanning_matchings``, which checks
+dim P(G) = |E| - |V| + 1 - b(G)), Petersen-brick detection, and near-brick
+barrier extraction.
 
 Contraction keeps edge ids, so every node's edge ids are root edge ids and
 edge sets found in a leaf (such as Petersen 5-cycles) need no lifting.
@@ -15,8 +17,8 @@ from .graph import (Cut, MultiGraph, components_minus, contract_shore,
                     cut_contractions, five_cycles, is_bipartite, is_petersen,
                     make_cut, per_graph, shore_complement, shore_index_map,
                     simplify)
-from .matchings import matching_table, require_matching_covered
-from .polytope import cut_face, dim_by_rank
+from .linalg import Echelon
+from .matchings import matching_table, require_matching_covered, spread_order
 
 
 class DecompTree(NamedTuple):
@@ -119,19 +121,53 @@ def tight_cut_decomposition(g: MultiGraph, seed: int | None = None) -> DecompTre
     return _build(g, random.Random(seed))
 
 
-def brick_count(g: MultiGraph) -> int:
-    """Number of brick leaves b(G), cross-checked against the dimension
-    formula inversion; a mismatch is a hard error."""
-    require_matching_covered(g)
-    tree = _decomposition_cached(g)
-    b = sum(1 for leaf in tree.leaves() if leaf.leaf_label in ("brick", "petersen_brick"))
-    d = dim_by_rank(g)
+def _bricks(tree: DecompTree) -> int:
+    return sum(1 for leaf in tree.leaves() if leaf.leaf_label in ("brick", "petersen_brick"))
+
+
+@per_graph
+def spanning_matchings(g: MultiGraph) -> tuple[int, ...]:
+    """Indices of dim P(G) + 1 linearly independent matching rows, which
+    span lin(P(G)), with dim P(G) certified from both sides and checked
+    against the brick count.
+
+    Upper bound: every matching x satisfies x(delta(v)) = 1 at each vertex
+    and x(C) = 1 on each tight cut C of the decomposition, so dim P(G) is
+    at most |E| minus the rank of those rows.  Lower bound: the matching
+    rows lie off the origin in an affine hyperplane, so k independent ones
+    give dim P(G) >= k - 1.  Rows are read in ``spread_order`` until the
+    bounds meet; when they never do, every row is read and the rank alone
+    is dim P(G) + 1.  The Edmonds-Lovasz-Pulleyblank formula
+    b(G) = |E| - |V| + 1 - dim P(G) must then count the tree's brick
+    leaves; a mismatch is a hard error.
+    """
+    tree = tight_cut_decomposition(g)
+    t = matching_table(g)
+    bounds = Echelon(len(g.edges))
+    bounds.extend(map(t.row, t.stars))
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            bounds.add(t.row(t.edge_mask(node.cut.boundary)))
+            stack.extend(node.children)
+    order = spread_order(len(t.masks))
+    raised = Echelon(len(g.edges)).extend((t.row(t.masks[i]) for i in order),
+                                          len(g.edges) - bounds.rank + 1)
+    b, d = _bricks(tree), len(raised) - 1
     b_formula = len(g.edges) - g.vertex_count + 1 - d
     if b != b_formula:
         raise TheoremFalsified("brick count equals |E|-|V|+1-dim P(G)", {
             "leaf_count": b, "formula": b_formula,
             "edges": len(g.edges), "vertices": g.vertex_count, "dim": d})
-    return b
+    return tuple(sorted(order[k] for k in raised))
+
+
+def brick_count(g: MultiGraph) -> int:
+    """Number of brick leaves b(G), cross-checked against the dimension
+    formula inversion (``spanning_matchings``); a mismatch is a hard error."""
+    spanning_matchings(g)
+    return _bricks(_decomposition_cached(g))
 
 
 def is_near_brick(g: MultiGraph) -> bool:
@@ -194,7 +230,8 @@ def barrier_of_tight_cut(g: MultiGraph, c: Cut) -> frozenset[int]:
     require_matching_covered(g)
     if not is_near_brick(g):
         raise PreconditionViolated("not_near_brick")
-    if cut_face(g, c.boundary) != matching_table(g).all_matchings:
+    t = matching_table(g)
+    if t.face(t.edge_mask(c.boundary)) != t.all_matchings:
         raise PreconditionViolated("not_tight", "cut is not tight")
     for side in (c.shore_set, shore_complement(g, c.shore_set)):
         comp_side = shore_complement(g, side)

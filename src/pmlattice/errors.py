@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the default caps whose
-excess raises :class:`VertexCapExceeded`."""
+"""Exception types shared across the package, the default caps whose
+excess raises :class:`VertexCapExceeded`, and the one cap check,
+:func:`check_cap`."""
 
 from __future__ import annotations
 
@@ -43,3 +44,9 @@ class VertexCapExceeded(PmLatticeError):
         self.vertices = vertices
         self.cap = cap
         super().__init__(f"graph has {vertices} vertices, scan capped at {cap}")
+
+
+def check_cap(g, max_vertices: int) -> None:
+    """Raise :class:`VertexCapExceeded` if graph ``g`` has over ``max_vertices`` vertices."""
+    if g.vertex_count > max_vertices:
+        raise VertexCapExceeded(g.vertex_count, max_vertices)

@@ -179,17 +179,14 @@ def make_cut(g: MultiGraph, vertices: Iterable[int]) -> Cut:
     return Cut(side, boundary(g, side))
 
 
-def odd_shores(g: MultiGraph, *, trivial: bool = False) -> Iterator[tuple[int, ...]]:
-    """Canonical odd shores in (size, lex) order.
+def odd_shores(g: MultiGraph) -> Iterator[tuple[int, ...]]:
+    """Canonical nontrivial odd shores (1 < |X| < n-1) in (size, lex) order.
 
     Canonical means the side containing vertex 0, which is the
-    lexicographically smaller side.  ``trivial`` admits |X| = 1 and
-    |X| = n-1 shores; by default only 1 < |X| < n-1.
+    lexicographically smaller side.
     """
     n = g.vertex_count
-    lo = 1 if trivial else 3
-    hi = n - 1 if trivial else n - 2
-    for size in range(lo, hi + 1, 2):
+    for size in range(3, n - 1, 2):
         for rest in itertools.combinations(range(1, n), size - 1):
             yield (0,) + rest
 

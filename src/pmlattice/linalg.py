@@ -18,12 +18,12 @@ package: positive pivots, entries above a pivot reduced into ``[0, pivot)``.
 
 Two uses in the package stop early, both exactly:
 
-- dim P(G) is certified from both sides (``polytope.spanning_matchings``):
-  the degree rows and the tight-cut rows of the decomposition bound it from
-  above by |E| minus their rank, which is the Edmonds-Lovasz-Pulleyblank
-  (1982) value |E| - |V| + 1 - b, and matching rows read in a spread order
-  bound it from below; the scan stops when the bounds meet and reads every
-  row only when they never do.
+- dim P(G) is certified from both sides
+  (``decomposition.spanning_matchings``): the degree rows and the tight-cut
+  rows of the decomposition bound it from above by |E| minus their rank,
+  which is the Edmonds-Lovasz-Pulleyblank (1982) value |E| - |V| + 1 - b,
+  and matching rows read in a spread order bound it from below; the scan
+  stops when the bounds meet and reads every row only when they never do.
 - The matching lattice L stops at its saturation S = lin(P) ∩ Z^E
   (``basis.matching_lattice``).  L lies in S, so once the matching rows
   read span a lattice with the pivots of S's HNF, its index in S is one

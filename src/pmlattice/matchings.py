@@ -1,6 +1,5 @@
 """Perfect matching enumeration and counting, the per-graph matching
-table, matching-covered testing, matching surgery across cuts, and integer
-decomposition of points of kP.
+table, matching-covered testing, and matching surgery across cuts.
 
 Listing and counting run one walk (``_layers``), a layer at a time: the
 least uncovered vertex is matched to each uncovered neighbour, once per
@@ -30,7 +29,7 @@ table and matching-covered verdict are kept in the graph's memo
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PreconditionViolated, TheoremFalsified
 from .graph import Cut, MultiGraph, cut_contractions, is_connected, per_graph
@@ -380,49 +379,3 @@ def extend_across_cut(g: MultiGraph, cut: Cut, inner: PerfectMatching) -> Perfec
             return result
     raise TheoremFalsified("no completion through the inner cut edge", {
         "shore": list(cut.shore), "inner": sorted(inner.edge_ids), "cut_edge": f})
-
-
-def idp_decompose(g: MultiGraph, x: Mapping[int, int], k: int) -> list[PerfectMatching]:
-    """Write an integer point of kP as a sum of k perfect matchings.
-
-    Preconditions: x non-negative ints (not bools) with x(delta(v)) = k at
-    every vertex, and g Birkhoff-von Neumann.  Each round removes the
-    lexicographically first perfect matching inside the support of the
-    remainder; failure to find one would falsify the decomposition claim.
-    """
-    from .polytope import is_bvn  # local import; polytope builds on this module
-
-    if type(k) is not int or k <= 0:
-        raise PreconditionViolated("bad_k", "k must be a positive integer")
-    ids = set(g.edge_ids)
-    if set(x) - ids:
-        raise PreconditionViolated("bad_vector", "vector has unknown edge ids")
-    vals = {eid: x.get(eid, 0) for eid in ids}
-    if any(type(v) is not int or v < 0 for v in vals.values()):
-        raise PreconditionViolated("bad_vector", "vector entries must be non-negative ints")
-    deg = [0] * g.vertex_count
-    for eid, u, v in g.edges:
-        deg[u] += vals[eid]
-        deg[v] += vals[eid]
-    if any(d != k for d in deg):
-        raise PreconditionViolated("bad_vector", f"vertex degrees under x must all equal {k}")
-    if not is_bvn(g)[0]:
-        raise PreconditionViolated("bvn", "graph is not Birkhoff-von Neumann")
-
-    remaining = dict(vals)
-    out: list[PerfectMatching] = []
-    for step in range(k):
-        support = tuple(e for e in g.edges if remaining[e[0]] >= 1)
-        sub = MultiGraph(g.vertex_count, support)
-        found = enumerate_perfect_matchings(sub)
-        if not found:
-            raise TheoremFalsified("no perfect matching inside the support of x", {
-                "step": step, "remaining": {str(e): v for e, v in sorted(remaining.items())}})
-        m = found[0]
-        out.append(m)
-        for eid in m.edge_ids:
-            remaining[eid] -= 1
-    if any(remaining.values()):
-        raise TheoremFalsified("decomposition left a nonzero remainder", {
-            "remaining": {str(e): v for e, v in sorted(remaining.items())}})
-    return out

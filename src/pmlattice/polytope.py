@@ -28,29 +28,25 @@ with no rank:
   when no third facet holds it.
 
 Dimension is computed by rank only where a dimension is reported or
-verified.  dim P(G) (``spanning_matchings``) is certified from both sides
-and reads matching rows only until the bounds meet; a face's dimension
-(``members_dim``, memoized on the mask) is the rank of its rows, for the
-face dimensions of ``classify_all_cuts`` that are not a facet's or P's
-and for the verifier's checks.
+verified.  dim P(G) (``polytope_dim``) is read from its certificate,
+``decomposition.spanning_matchings``; a face's dimension (``members_dim``,
+memoized on the mask) is the rank of its rows, for the face dimensions of
+``classify_all_cuts`` that are not a facet's or P's and for the
+verifier's checks.  A BvN graph's integer points of kP are sums of k
+perfect matchings (``idp_decompose``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import (DEFAULT_VERTEX_CAP, PreconditionViolated, TheoremFalsified,
-                     VertexCapExceeded)
-from .graph import (Cut, MultiGraph, boundary, make_cut, odd_shores, per_graph,
-                    shore_complement)
-from .linalg import Echelon, rank
-from .matchings import (MatchingTable, matching_table, require_matching_covered,
-                        spread_order)
-
-
-def check_cap(g: MultiGraph, max_vertices: int) -> None:
-    if g.vertex_count > max_vertices:
-        raise VertexCapExceeded(g.vertex_count, max_vertices)
+from .decomposition import spanning_matchings
+from .errors import DEFAULT_VERTEX_CAP, PreconditionViolated, TheoremFalsified, check_cap
+from .graph import (Cut, MultiGraph, _proper_shore, boundary, make_cut, odd_shores,
+                    per_graph, shore_complement)
+from .linalg import rank
+from .matchings import (MatchingTable, PerfectMatching, enumerate_perfect_matchings,
+                        matching_table, require_matching_covered)
 
 
 def _bits(mask: int) -> list[int]:
@@ -94,55 +90,10 @@ class CutClass(NamedTuple):
     face: Face
 
 
-@per_graph
-def spanning_matchings(g: MultiGraph) -> tuple[int, ...]:
-    """Indices of dim P(G) + 1 linearly independent matching rows, which
-    span lin(P(G)), with dim P(G) certified from both sides.
-
-    Upper bound: every matching x satisfies x(delta(v)) = 1 at each vertex
-    and x(C) = 1 on each tight cut C of the decomposition, so dim P(G) is
-    at most |E| minus the rank of those rows (equality is the
-    Edmonds-Lovasz-Pulleyblank formula |E| - |V| + 1 - b).  Lower bound:
-    the matching rows lie off the origin in an affine hyperplane, so k
-    independent ones give dim P(G) >= k - 1.  Rows are read in
-    ``spread_order`` until the bounds meet; when they never do, every row
-    is read and the rank alone is dim P(G) + 1.
-    """
-    from .decomposition import tight_cut_decomposition  # it imports this module
-
-    t = matching_table(g)
-    bounds = Echelon(len(g.edges))
-    bounds.extend(map(t.row, t.stars))
-    stack = [tight_cut_decomposition(g)]
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            bounds.add(t.row(t.edge_mask(node.cut.boundary)))
-            stack.extend(node.children)
-    order = spread_order(len(t.masks))
-    raised = Echelon(len(g.edges)).extend((t.row(t.masks[i]) for i in order),
-                                          len(g.edges) - bounds.rank + 1)
-    return tuple(sorted(order[k] for k in raised))
-
-
-def dim_by_rank(g: MultiGraph) -> int:
-    """dim P(G) by exact rank: one less than ``spanning_matchings``."""
-    return len(spanning_matchings(g)) - 1
-
-
 def polytope_dim(g: MultiGraph) -> int:
     """dim P(G), exact; cross-checked against |E| - |V| + 1 - b(G)."""
-    from .decomposition import brick_count  # decomposition imports this module
-
     require_matching_covered(g)
-    brick_count(g)  # raises TheoremFalsified unless b(G) = |E| - |V| + 1 - dim P(G)
-    return dim_by_rank(g)
-
-
-def cut_face(g: MultiGraph, edge_set: Iterable[int]) -> int:
-    """Face mask of the matchings meeting the cut edge set exactly once."""
-    t = matching_table(g)
-    return t.face(t.edge_mask(edge_set))
+    return len(spanning_matchings(g)) - 1
 
 
 @per_graph
@@ -172,7 +123,7 @@ def is_separating(g: MultiGraph, shore: tuple[int, ...]) -> bool:
     """Whether delta(shore) is separating (both cut-contractions
     matching-covered): its face is nonempty and uses every edge."""
     t = matching_table(g)
-    return _separates(t, t.face(t.cut_mask(shore)))
+    return _separates(t, t.face(t.cut_mask(_proper_shore(g, shore))))
 
 
 def _shore_cut(g: MultiGraph, t: MatchingTable, shore: tuple[int, ...]) -> Cut:
@@ -286,6 +237,50 @@ def is_bvn(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> tuple[bool,
     witness cut on failure (first in canonical shore order)."""
     witness = next(iter(separating_facet_defining_cuts(g, max_vertices)), None)
     return witness is None, witness
+
+
+def idp_decompose(g: MultiGraph, x: Mapping[int, int], k: int) -> list[PerfectMatching]:
+    """Write an integer point of kP as a sum of k perfect matchings.
+
+    Preconditions: x non-negative ints (not bools) with x(delta(v)) = k at
+    every vertex, and g Birkhoff-von Neumann.  Each round removes the
+    lexicographically first perfect matching inside the support of the
+    remainder; failure to find one would falsify the decomposition claim.
+    """
+    if type(k) is not int or k <= 0:
+        raise PreconditionViolated("bad_k", "k must be a positive integer")
+    ids = set(g.edge_ids)
+    if set(x) - ids:
+        raise PreconditionViolated("bad_vector", "vector has unknown edge ids")
+    vals = {eid: x.get(eid, 0) for eid in ids}
+    if any(type(v) is not int or v < 0 for v in vals.values()):
+        raise PreconditionViolated("bad_vector", "vector entries must be non-negative ints")
+    deg = [0] * g.vertex_count
+    for eid, u, v in g.edges:
+        deg[u] += vals[eid]
+        deg[v] += vals[eid]
+    if any(d != k for d in deg):
+        raise PreconditionViolated("bad_vector", f"vertex degrees under x must all equal {k}")
+    if not is_bvn(g)[0]:
+        raise PreconditionViolated("bvn", "graph is not Birkhoff-von Neumann")
+
+    remaining = dict(vals)
+    out: list[PerfectMatching] = []
+    for step in range(k):
+        support = tuple(e for e in g.edges if remaining[e[0]] >= 1)
+        sub = MultiGraph(g.vertex_count, support)
+        found = enumerate_perfect_matchings(sub)
+        if not found:
+            raise TheoremFalsified("no perfect matching inside the support of x", {
+                "step": step, "remaining": {str(e): v for e, v in sorted(remaining.items())}})
+        m = found[0]
+        out.append(m)
+        for eid in m.edge_ids:
+            remaining[eid] -= 1
+    if any(remaining.values()):
+        raise TheoremFalsified("decomposition left a nonzero remainder", {
+            "remaining": {str(e): v for e, v in sorted(remaining.items())}})
+    return out
 
 
 def separating_facet_defining_cuts(g: MultiGraph,

@@ -15,15 +15,14 @@ from .decomposition import (barrier_of_tight_cut, brick_count,
                             find_tight_cut, is_near_brick, parity_sets,
                             tight_shores)
 from .errors import (DEFAULT_TRIPLE_CAP, DEFAULT_VERTEX_CAP, PreconditionViolated,
-                     TheoremFalsified, VertexCapExceeded)
+                     TheoremFalsified, VertexCapExceeded, check_cap)
 from .graph import (MultiGraph, contract_shore, cut_contractions,
                     is_bipartite, is_petersen, make_cut,
                     shore_complement, shore_index_map)
 from .linalg import lattice_member
 from .matchings import matching_covered, matching_table, require_matching_covered
-from .polytope import (check_cap, cut_face, cuts_equivalent, dim_by_rank,
-                       enumerate_codim2_faces, enumerate_facets, facet_incidence, is_bvn,
-                       is_separating, members_dim, polytope_dim, ridges, separating_cuts,
+from .polytope import (cuts_equivalent, enumerate_codim2_faces, enumerate_facets, facet_incidence,
+                       is_bvn, is_separating, members_dim, polytope_dim, ridges, separating_cuts,
                        separating_facet_defining_cuts, shore_faces, uncross)
 
 
@@ -39,15 +38,16 @@ class PropertyReport(NamedTuple):
 
 
 def _p_dim(g: MultiGraph, cap: int) -> tuple[str, dict]:
-    d = dim_by_rank(g)
-    b = brick_count(g)  # raises TheoremFalsified unless b = |E| - |V| + 1 - d
+    d = polytope_dim(g)  # raises TheoremFalsified unless b = |E| - |V| + 1 - d
+    b = brick_count(g)
     return "pass", {"rank_dim": d, "edges": len(g.edges), "vertices": g.vertex_count,
                     "bricks": b, "formula_dim": len(g.edges) - g.vertex_count + 1 - b}
 
 
 def _p_uncross(g: MultiGraph, cap: int) -> tuple[str, dict]:
     cuts = separating_cuts(g, cap)
-    faces = [cut_face(g, cut.boundary) for cut in cuts]
+    shore_face = dict(shore_faces(g))
+    faces = [shore_face[cut.shore] for cut in cuts]
     t = matching_table(g)
     checked = applicable = 0
     for i in range(len(cuts)):
@@ -93,12 +93,14 @@ def _face_of_face_exposed(g: MultiGraph, face: int) -> tuple[int, int]:
 
 def _p_bvncontract(g: MultiGraph, cap: int) -> tuple[str, dict]:
     applicable = 0
-    for cut in separating_cuts(g, cap):
+    cuts = separating_cuts(g, cap)
+    shore_face = dict(shore_faces(g))
+    for cut in cuts:
         ks, kc = cut_contractions(g, cut.shore_set)
         if not (is_bvn(ks, cap)[0] and is_bvn(kc, cap)[0]):
             continue
         applicable += 1
-        total, exposed = _face_of_face_exposed(g, cut_face(g, cut.boundary))
+        total, exposed = _face_of_face_exposed(g, shore_face[cut.shore])
         if total != exposed:
             return "fail", {"shore": list(cut.shore), "facets": total,
                             "edge_exposed": exposed}
@@ -109,8 +111,9 @@ def _p_brickcount(g: MultiGraph, cap: int) -> tuple[str, dict]:
     d = polytope_dim(g)
     b = brick_count(g)
     cuts = separating_cuts(g, cap)
+    shore_face = dict(shore_faces(g))
     for cut in cuts:
-        codim = d - members_dim(g, cut_face(g, cut.boundary))
+        codim = d - members_dim(g, shore_face[cut.shore])
         ks, kc = cut_contractions(g, cut.shore_set)
         if brick_count(ks) + brick_count(kc) != b + codim:
             return "fail", {"shore": list(cut.shore), "codim": codim,
@@ -122,16 +125,16 @@ def _p_nearbrick(g: MultiGraph, cap: int) -> tuple[str, dict]:
     if not is_near_brick(g):
         return "pass", {"vacuous": "not a near-brick"}
     d = polytope_dim(g)
-    checked = 0
-    for cut in separating_cuts(g, cap):
-        checked += 1
-        fdi = members_dim(g, cut_face(g, cut.boundary)) == d - 1
+    cuts = separating_cuts(g, cap)
+    shore_face = dict(shore_faces(g))
+    for cut in cuts:
+        fdi = members_dim(g, shore_face[cut.shore]) == d - 1
         ks, kc = cut_contractions(g, cut.shore_set)
         both_nb = brick_count(ks) == 1 and brick_count(kc) == 1
         if fdi != both_nb:
             return "fail", {"shore": list(cut.shore), "facet_defining": fdi,
                             "both_near_bricks": both_nb}
-    return "pass", {"separating_cuts": checked}
+    return "pass", {"separating_cuts": len(cuts)}
 
 
 def _p_barrier(g: MultiGraph, cap: int) -> tuple[str, dict]:
@@ -193,8 +196,10 @@ def _p_equiv(g: MultiGraph, cap: int) -> tuple[str, dict]:
     if not is_near_brick(g):
         return "pass", {"vacuous": "not a near-brick"}
     groups: dict[int, list] = {}
-    for cut in separating_facet_defining_cuts(g, cap):
-        groups.setdefault(cut_face(g, cut.boundary), []).append(cut)
+    cuts = separating_facet_defining_cuts(g, cap)
+    shore_face = dict(shore_faces(g))
+    for cut in cuts:
+        groups.setdefault(shore_face[cut.shore], []).append(cut)
     pairs = nested = 0
     for cuts in groups.values():
         for i in range(len(cuts)):

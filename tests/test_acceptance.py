@@ -22,9 +22,9 @@ from pmlattice.errors import PreconditionViolated
 from pmlattice.graph import MultiGraph, cut_contractions
 from pmlattice.linalg import hnf, lattice_equal, lattice_index, rank
 from pmlattice.matchings import (enumerate_perfect_matchings,
-                                 idp_decompose, incidence_vectors)
-from pmlattice.polytope import (cut_face, enumerate_codim2_faces,
-                                enumerate_facets, is_bvn, polytope_dim,
+                                 incidence_vectors, matching_table)
+from pmlattice.polytope import (enumerate_codim2_faces, enumerate_facets,
+                                idp_decompose, is_bvn, polytope_dim,
                                 separating_cuts)
 from pmlattice.verifier import PROPERTY_IDS, verify_all
 from pmlattice.basis import characterize_lattice
@@ -170,7 +170,8 @@ def test_criterion_6_merger_invariants():
                 assert len(merged.elements) == (len(b1.elements) + len(b2.elements)
                                                 - len(cut.boundary)), name
                 assert rank(merged.vectors()) == len(merged.elements), name
-                face = cut_face(g, cut.boundary)
+                t = matching_table(g)
+                face = t.face(t.edge_mask(cut.boundary))
                 ms = enumerate_perfect_matchings(g)
                 index_of = {m.edge_ids: i for i, m in enumerate(ms)}
                 for z in merged.elements:

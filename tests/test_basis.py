@@ -19,7 +19,7 @@ from pmlattice.graph import MultiGraph, boundary, cut_contractions, five_cycles,
 from pmlattice.linalg import hnf, lattice_equal, lattice_index, rank
 from pmlattice.matchings import (MatchingTable, enumerate_perfect_matchings,
                                  incidence_vectors, matching_table)
-from pmlattice.polytope import (dim_by_rank, is_bvn, separating_cuts,
+from pmlattice.polytope import (is_bvn, polytope_dim, separating_cuts,
                                 separating_facet_defining_cuts)
 
 from conftest import (bareiss_rank, matching_rows, oracle_hnf, oracle_index,
@@ -413,7 +413,7 @@ def test_certified_dim_and_lattices_match_full_row_oracles(corpus):
         rows = matching_rows(g)
         n = len(g.edges)
         lat, sat = oracle_hnf(rows, n), oracle_saturation(rows, n)
-        assert dim_by_rank(g) == bareiss_rank(rows) - 1, g
+        assert polytope_dim(g) == bareiss_rank(rows) - 1, g
         assert matching_saturation(g) == sat, g
         assert matching_lattice(g) == lat, g
         index = oracle_index(lat, sat)

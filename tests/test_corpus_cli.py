@@ -283,6 +283,16 @@ def test_cli_corpus_random_rejects_bad_arguments(capsys, monkeypatch):
     assert json.loads(captured.out)["result"] == {"error": "vertex_cap", "vertices": 18, "cap": 16}
 
 
+def test_cli_corpus_random_stops_drawing_at_the_complete_graph():
+    """Draws past the complete graph add no edge, so ``corpus random`` with a
+    huge --matchings ends as soon as every pair is an edge."""
+    proc = _fresh_python("-m", "pmlattice.cli", "corpus", "random", "--seed", "1",
+                         "--vertices", "16", "--matchings", "100000000", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    name, g = parse_graph_file(proc.stdout)
+    assert name == "random-v16-s1" and len(g.edges) == 16 * 15 // 2
+
+
 def test_cli_characterize(tmp_path, capsys):
     path = tmp_path / "pp.json"
     _run(["corpus", "emit", "petersen-parallel", "--output", str(path)], capsys)
@@ -316,10 +326,11 @@ def _package_env() -> dict:
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def _fresh_python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def _fresh_python(*args: str, stdout=subprocess.PIPE,
+                  timeout: float = 120) -> subprocess.CompletedProcess:
     """Run ``python3 *args`` in a new interpreter with this package importable."""
     return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, env=_package_env(), timeout=120)
+                          text=True, env=_package_env(), timeout=timeout)
 
 
 def _in_process(argv: list[str], capsys) -> tuple[int, str, str]:
@@ -503,6 +514,20 @@ def test_cli_commands_without_coefficients_load_no_fractions(tmp_path):
                                    "file=sys.stderr); sys.exit(code)",
                              *command, "--input", str(path))
         assert proc.stderr == "[]\n", (command, proc.stderr)
+
+
+def test_cli_decompose_and_tight_cuts_load_no_polytope(tmp_path):
+    """``decompose`` and ``cuts tight`` read the tight-cut decomposition
+    alone: a fresh process running either loads no ``pmlattice.polytope``."""
+    path = tmp_path / "splice.json"
+    path.write_text(dump_graph_file("pete-k4-splice", corpus_graph("pete-k4-splice")))
+    for command in (["decompose"], ["cuts", "tight"]):
+        proc = _fresh_python("-c", "import sys; from pmlattice.cli import main; "
+                                   "code = main(sys.argv[1:]); "
+                                   "print('pmlattice.polytope' in sys.modules, file=sys.stderr); "
+                                   "sys.exit(code)",
+                             *command, "--input", str(path))
+        assert (proc.returncode, proc.stderr) == (0, "False\n"), (command, proc.stderr)
 
 
 def test_cli_verify_help_reads_the_triple_cap(capsys):

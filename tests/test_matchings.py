@@ -10,9 +10,9 @@ from pmlattice.errors import PreconditionViolated
 from pmlattice.graph import MultiGraph, cut_contractions, make_cut
 from pmlattice.matchings import (COLS_SLICE, PerfectMatching, count_perfect_matchings,
                                  enumerate_perfect_matchings,
-                                 extend_across_cut, idp_decompose,
-                                 is_matching_covered, matching_edge_ids,
-                                 matching_masks, matching_table)
+                                 extend_across_cut, is_matching_covered,
+                                 matching_edge_ids, matching_masks, matching_table)
+from pmlattice.polytope import idp_decompose
 
 from conftest import bipartite_matching_count, brute_force_matchings
 

@@ -5,6 +5,7 @@ import ast
 import copy
 import importlib
 import pickle
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,26 @@ def test_caps_have_one_owner():
                 owners += [f"{path.stem}.{t.id}" for t in node.targets
                            if isinstance(t, ast.Name) and t.id.startswith("DEFAULT_")]
     assert sorted(owners) == ["errors.DEFAULT_TRIPLE_CAP", "errors.DEFAULT_VERTEX_CAP"]
+
+
+def test_relative_imports_form_no_cycle():
+    """The package's modules import one another in one direction: no cycle
+    among the relative imports, whether at module level or inside a
+    function.  ``from . import name`` reads the module ``name`` when there
+    is one and ``__init__`` otherwise."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    deps: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        deps[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    deps[path.stem].add(node.module.split(".")[0])
+                else:
+                    deps[path.stem] |= {a.name if a.name in modules else "__init__"
+                                        for a in node.names}
+    assert deps["cli"] >= {"__init__", "polytope", "verifier"}
+    try:
+        TopologicalSorter(deps).prepare()
+    except CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from pmlattice.graph import (MultiGraph, boundary, cut_contractions, make_cut,
 from pmlattice.matchings import (enumerate_perfect_matchings,
                                  incidence_vectors, matching_covered,
                                  matching_table)
-from pmlattice.polytope import (Face, classify_all_cuts, classify_cut, cut_face,
+from pmlattice.polytope import (Face, classify_all_cuts, classify_cut,
                                 cuts_equivalent, enumerate_codim2_faces,
                                 enumerate_facets, facet_cuts, facet_masks,
                                 is_bvn, is_separating, members_dim,
@@ -70,7 +71,7 @@ def test_separating_definitions_agree(corpus):
         g = corpus[name]
         table = matching_table(g)
         for shore in odd_shores(g):
-            face = cut_face(g, boundary(g, shore))
+            face = table.face(table.edge_mask(boundary(g, shore)))
             by_face = bool(face) and table.covers_all_edges(face)
             ks, kc = cut_contractions(g, shore)
             by_contraction = matching_covered(ks) and matching_covered(kc)
@@ -93,7 +94,7 @@ def _assert_faces_match_oracle(g: MultiGraph) -> None:
         indices = [i for i in range(len(table.masks)) if face >> i & 1]
         assert [ms[i].edge_ids for i in indices] == members, shore
         assert table.covers_all_edges(face) == covers, shore
-        assert cut_face(g, boundary(g, shore)) == face, shore
+        assert table.face(table.edge_mask(boundary(g, shore))) == face, shore
 
 
 def test_table_faces_match_oracle_on_corpus(corpus):
@@ -205,7 +206,7 @@ def test_table_answers_when_bit_order_and_edge_order_differ(corpus):
     ``separating_cuts`` and ``facet_cuts`` (against ``make_cut``) match the
     oracles, and so do the spanning rows and both lattices."""
     from pmlattice.basis import matching_lattice, matching_saturation
-    from pmlattice.polytope import spanning_matchings
+    from pmlattice.decomposition import spanning_matchings
 
     graphs = _graphs_out_of_bit_order(corpus)
     for g in graphs.values():
@@ -248,6 +249,16 @@ def test_face_readers_follow_the_mask(corpus):
             assert sum(1 << i for i in f.member_matchings) == f.mask, name
             assert f.key() == tuple(sorted(f.member_matchings)), name
             assert members_dim(g, f.mask) == f.dim, name
+
+
+def test_is_separating_rejects_a_bad_shore(corpus):
+    """A shore outside 0..n-1, empty or whole raises ``bad_shore``, as in
+    ``make_cut``, rather than wrapping round or raising IndexError."""
+    g = corpus["prism"]
+    for shore in ((-1, 0, 1), (0, 1, 9), (), tuple(range(6))):
+        with pytest.raises(PreconditionViolated) as raised:
+            is_separating(g, shore)
+        assert raised.value.reason == "bad_shore", shore
 
 
 def test_tight_implies_separating_on_all_classified_cuts(corpus):
@@ -320,7 +331,9 @@ def test_cuts_equivalent(corpus):
     for name in ("k4", "prism", "k33"):
         g = corpus[name]
         ms = brute_force_matchings(g)
-        cuts = [make_cut(g, s) for s in odd_shores(g, trivial=True)]
+        n = g.vertex_count
+        cuts = [make_cut(g, (0,) + rest) for size in range(1, n, 2)
+                for rest in itertools.combinations(range(1, n), size - 1)]
         for c1 in cuts:
             for c2 in cuts:
                 want = all(len(m & c1.boundary) == len(m & c2.boundary) for m in ms)
