@@ -19,10 +19,10 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .decomposition import (brick_count, canonical_parity_cycle, find_tight_cut, parity_sets,
-                            petersen_bricks, spanning_matchings, tight_cut_decomposition)
+from .decomposition import (DecompTree, brick_count, canonical_parity_cycle, find_tight_cut,
+                            parity_sets, spanning_matchings, tight_cut_decomposition)
 from .errors import DEFAULT_VERTEX_CAP, PreconditionViolated, TheoremFalsified
-from .graph import (Cut, MultiGraph, boundary, cut_contractions, five_cycles,
+from .graph import (Cut, MultiGraph, _check_cut, boundary, cut_contractions, five_cycles,
                     is_petersen, per_graph, simplify)
 from .linalg import (Echelon, Lattice, hnf, lattice_equal, lattice_index, lattice_member,
                      rank, saturation)
@@ -117,6 +117,7 @@ def merge_bases(g: MultiGraph, cut: Cut, b1: Basis, b2: Basis,
     that it appears in exactly one output (returned as ``zstar``); this
     requires the unpinned part of b1 to avoid no edge of its graph.
     """
+    _check_cut(g, cut)
     if not is_separating(g, cut.shore):
         raise PreconditionViolated("not_separating", "merge needs a separating cut")
     keep_shore, keep_comp = cut_contractions(g, cut.shore_set)
@@ -293,7 +294,7 @@ def _petersen_family(h: MultiGraph, cycle_vertices: Iterable[int]) -> list[Perfe
     return family
 
 
-def _petersen_leaf_in(tree) -> bool:
+def _petersen_leaf_in(tree: DecompTree) -> bool:
     return any(leaf.leaf_label == "petersen_brick" for leaf in tree.leaves())
 
 
@@ -362,7 +363,7 @@ def _intersection_preconditions(g: MultiGraph, max_vertices: int) -> None:
     require_matching_covered(g)
     if brick_count(g) != 1:
         raise PreconditionViolated("not_near_brick")
-    if petersen_bricks(g):
+    if _petersen_leaf_in(tight_cut_decomposition(g)):
         raise PreconditionViolated("petersen_brick")
     if is_bvn(g, max_vertices)[0]:
         raise PreconditionViolated("bvn")
@@ -472,7 +473,7 @@ def _bvn_integral_elements(g: MultiGraph) -> tuple[PerfectMatching, ...]:
 
 def _sides_petersen_free(g: MultiGraph, cut: Cut) -> bool:
     ks, kc = cut_contractions(g, cut.shore_set)
-    return not petersen_bricks(ks) and not petersen_bricks(kc)
+    return not any(_petersen_leaf_in(tight_cut_decomposition(h)) for h in (ks, kc))
 
 
 def _brick_pair(g: MultiGraph, max_vertices: int) -> IntersectionPair:
@@ -511,7 +512,7 @@ def integral_basis(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> Bas
     graphs only); the integer span is verified against the saturation of
     the span of all matchings before returning."""
     require_matching_covered(g)
-    if petersen_bricks(g):
+    if _petersen_leaf_in(tight_cut_decomposition(g)):
         raise PreconditionViolated("petersen_brick")
     return Basis(g, _integral_elements(g, max_vertices), "integral")
 
@@ -519,39 +520,39 @@ def integral_basis(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> Bas
 # --- lattice bases and the mod-2 characterization ---------------------------
 
 
-def _lattice_elements(g: MultiGraph, max_vertices: int) \
-        -> tuple[tuple[PerfectMatching, ...], list[frozenset[int]]]:
-    cut = find_tight_cut(g)
-    if cut is not None:
-        ks, kc = cut_contractions(g, cut.shore_set)
-        e1, p1 = _lattice_elements(ks, max_vertices)
-        e2, p2 = _lattice_elements(kc, max_vertices)
-        res = merge_bases(g, cut, Basis(ks, e1, "lattice"), Basis(kc, e2, "lattice"))
+def _lattice_elements(node: DecompTree, max_vertices: int) -> tuple[PerfectMatching, ...]:
+    """Fold the decomposition tree: merge the children's lattice bases at
+    each tight cut; a Petersen leaf takes its matching family, any other
+    leaf its integral basis."""
+    g = node.graph
+    if not node.is_leaf:
+        ks, kc = node.children
+        res = merge_bases(g, node.cut,
+                          Basis(ks.graph, _lattice_elements(ks, max_vertices), "lattice"),
+                          Basis(kc.graph, _lattice_elements(kc, max_vertices), "lattice"))
         out = res.basis.elements
-        psets = p1 + p2
-    elif is_petersen(g):
-        verts, eids = canonical_parity_cycle(g)
-        out = tuple(_petersen_family(g, verts))
-        psets = [frozenset(eids)]
+    elif node.leaf_label == "petersen_brick":
+        out = tuple(_petersen_family(g, canonical_parity_cycle(g)[0]))
     else:
         out = _integral_elements(g, max_vertices)
-        psets = []
     got = _span_lattice(g, out)
     want = matching_lattice(g)
     if not lattice_equal(got, want):
         raise TheoremFalsified("integer span of the basis equals the matching lattice", {
             "span": [list(r) for r in got.basis],
             "lattice": [list(r) for r in want.basis]})
-    return out, psets
+    return out
 
 
 def lattice_basis(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) \
         -> tuple[Basis, tuple[frozenset[int], ...]]:
-    """Lattice basis of L(G) made of perfect matchings, plus one canonical
-    5-cycle edge set per Petersen brick in the decomposition."""
+    """Lattice basis of L(G) made of perfect matchings, built along the
+    memoized tight cut decomposition, plus ``parity_sets(g)``: one
+    canonical 5-cycle edge set per Petersen brick, in the tree's leaf
+    order, as ``characterize`` reports them."""
     require_matching_covered(g)
-    elements, psets = _lattice_elements(g, max_vertices)
-    return Basis(g, elements, "lattice"), tuple(psets)
+    elements = _lattice_elements(tight_cut_decomposition(g), max_vertices)
+    return Basis(g, elements, "lattice"), tuple(parity_sets(g))
 
 
 class LatticeCharacterization(NamedTuple):

@@ -3,6 +3,13 @@ and brick count b(G) (one owner, ``spanning_matchings``, which checks
 dim P(G) = |E| - |V| + 1 - b(G)), Petersen-brick detection, and near-brick
 barrier extraction.
 
+The memoized tree (``tight_cut_decomposition``) is the one place tight-cut
+structure is derived: ``find_tight_cut`` is its root cut, the lattice basis
+folds it and the leaf labels say which graphs are bricks and which hold a
+Petersen brick.  Each subtree is memoized with its own graph, so a
+cut-contraction's tree is the subtree and every graph's tight shores are
+scanned once per memo.
+
 Contraction keeps edge ids, so every node's edge ids are root edge ids and
 edge sets found in a leaf (such as Petersen 5-cycles) need no lifting.
 """
@@ -13,7 +20,7 @@ import random
 from typing import NamedTuple
 
 from .errors import PreconditionViolated, TheoremFalsified
-from .graph import (Cut, MultiGraph, components_minus, contract_shore,
+from .graph import (Cut, MultiGraph, _check_cut, components_minus, contract_shore,
                     cut_contractions, five_cycles, is_bipartite, is_petersen,
                     make_cut, per_graph, shore_complement, shore_index_map,
                     simplify)
@@ -78,15 +85,6 @@ def tight_shores(g: MultiGraph) -> list[tuple[int, ...]]:
     return out
 
 
-def find_tight_cut(g: MultiGraph) -> Cut | None:
-    """First tight cut in canonical shore order, or None.  Exact although
-    :func:`tight_shores` tests only shores crossing the first perfect
-    matching once: an odd cut meets every perfect matching an odd number
-    of times, so a tight cut meets it exactly once."""
-    shores = tight_shores(g)
-    return make_cut(g, shores[0]) if shores else None
-
-
 def _leaf_label(g: MultiGraph) -> str:
     if is_bipartite(g)[0]:
         return "brace"
@@ -94,13 +92,15 @@ def _leaf_label(g: MultiGraph) -> str:
 
 
 def _build(g: MultiGraph, rng: random.Random | None) -> DecompTree:
+    """One node; without a seed each child is the memoized tree of its
+    cut-contraction, so no graph's tight shores are scanned twice."""
     shores = tight_shores(g)
     if not shores:
         return DecompTree(g, leaf_label=_leaf_label(g))
     cut = make_cut(g, shores[0] if rng is None else rng.choice(shores))
-    keep_shore, keep_comp = cut_contractions(g, cut.shore_set)
-    return DecompTree(g, cut=cut,
-                      children=(_build(keep_shore, rng), _build(keep_comp, rng)))
+    sides = cut_contractions(g, cut.shore_set)
+    return DecompTree(g, cut=cut, children=tuple(
+        _decomposition_cached(h) if rng is None else _build(h, rng) for h in sides))
 
 
 @per_graph
@@ -119,6 +119,16 @@ def tight_cut_decomposition(g: MultiGraph, seed: int | None = None) -> DecompTre
     if seed is None:
         return _decomposition_cached(g)
     return _build(g, random.Random(seed))
+
+
+def find_tight_cut(g: MultiGraph) -> Cut | None:
+    """First tight cut in canonical shore order, or None: the root cut of
+    :func:`tight_cut_decomposition`, so a call builds (or reads) the whole
+    memoized tree.  Exact although :func:`tight_shores` tests only shores
+    crossing the first perfect matching once: an odd cut meets every
+    perfect matching an odd number of times, so a tight cut meets it
+    exactly once."""
+    return tight_cut_decomposition(g).cut
 
 
 def _bricks(tree: DecompTree) -> int:
@@ -215,9 +225,11 @@ def canonical_parity_cycle(leaf_graph: MultiGraph) -> tuple[tuple[int, ...], tup
 
 
 def parity_sets(g: MultiGraph) -> list[frozenset[int]]:
-    """One canonical 5-cycle edge set per Petersen brick leaf."""
+    """One canonical 5-cycle edge set per Petersen brick leaf, in the
+    tree's leaf order."""
     return [frozenset(canonical_parity_cycle(leaf.graph)[1])
-            for leaf, _ in petersen_bricks(g)]
+            for leaf in tight_cut_decomposition(g).leaves()
+            if leaf.leaf_label == "petersen_brick"]
 
 
 def barrier_of_tight_cut(g: MultiGraph, c: Cut) -> frozenset[int]:
@@ -228,6 +240,7 @@ def barrier_of_tight_cut(g: MultiGraph, c: Cut) -> frozenset[int]:
     components, one equal to the cut shore and the rest singletons.
     """
     require_matching_covered(g)
+    _check_cut(g, c)
     if not is_near_brick(g):
         raise PreconditionViolated("not_near_brick")
     t = matching_table(g)

@@ -172,6 +172,13 @@ def _proper_shore(g: MultiGraph, vertices: Iterable[int]) -> frozenset[int]:
     return vs
 
 
+def _check_cut(g: MultiGraph, c: Cut) -> None:
+    """Raise ``bad_cut`` unless a caller's ``Cut`` is delta(shore) in
+    ``g``; the shore itself is checked by ``_proper_shore``."""
+    if c.boundary != boundary(g, _proper_shore(g, c.shore)):
+        raise PreconditionViolated("bad_cut", "cut boundary is not delta(shore) in this graph")
+
+
 def make_cut(g: MultiGraph, vertices: Iterable[int]) -> Cut:
     vs = _proper_shore(g, vertices)
     comp = shore_complement(g, vs)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PreconditionViolated, TheoremFalsified
-from .graph import Cut, MultiGraph, cut_contractions, is_connected, per_graph
+from .graph import Cut, MultiGraph, _check_cut, cut_contractions, is_connected, per_graph
 
 
 class PerfectMatching(NamedTuple):
@@ -356,6 +356,7 @@ def extend_across_cut(g: MultiGraph, cut: Cut, inner: PerfectMatching) -> Perfec
     with the first (enumeration order) matching of the other contraction
     that also uses f.
     """
+    _check_cut(g, cut)
     keep_shore, keep_comp = cut_contractions(g, cut.shore_set)
     if not (matching_covered(keep_shore) and matching_covered(keep_comp)):
         raise PreconditionViolated("not_separating", "cut is not separating")

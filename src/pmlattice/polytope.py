@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .decomposition import spanning_matchings
 from .errors import DEFAULT_VERTEX_CAP, PreconditionViolated, TheoremFalsified, check_cap
-from .graph import (Cut, MultiGraph, _proper_shore, boundary, make_cut, odd_shores,
+from .graph import (Cut, MultiGraph, _check_cut, _proper_shore, boundary, make_cut, odd_shores,
                     per_graph, shore_complement)
 from .linalg import rank
 from .matchings import (MatchingTable, PerfectMatching, enumerate_perfect_matchings,
@@ -133,7 +133,12 @@ def _shore_cut(g: MultiGraph, t: MatchingTable, shore: tuple[int, ...]) -> Cut:
 
 # ``_held`` stops ANDing once this few candidate sets are left and tests
 # each with one subset test: a face held by several sets would otherwise be
-# ANDed over all of its members
+# ANDed over all of its members.  ANDing over every member instead (stopping
+# only when no candidate is left), with no subset test, is simpler but
+# slower: on random-v16-s7 (``random_matching_covered(7, 16, 5)``), best of
+# 6 interleaved in-process runs on a shared 2-vCPU VM (2.1 GHz Xeon),
+# ``ridges`` took 2.12 s against 1.37 s and ``facet_masks`` 0.23 s against
+# 0.18 s.
 _NARROW = 16
 
 
@@ -377,6 +382,8 @@ def enumerate_codim2_faces(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP
 
 def cuts_equivalent(g: MultiGraph, c1: Cut, c2: Cut) -> bool:
     """Whether every perfect matching meets both cuts equally often."""
+    _check_cut(g, c1)
+    _check_cut(g, c2)
     t = matching_table(g)
     b1, b2 = t.edge_mask(c1.boundary), t.edge_mask(c2.boundary)
     return all((m & b1).bit_count() == (m & b2).bit_count() for m in t.masks)

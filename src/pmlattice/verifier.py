@@ -11,13 +11,11 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .decomposition import (barrier_of_tight_cut, brick_count,
-                            find_tight_cut, is_near_brick, parity_sets,
-                            tight_shores)
+from .decomposition import (barrier_of_tight_cut, brick_count, is_near_brick, parity_sets,
+                            tight_cut_decomposition, tight_shores)
 from .errors import (DEFAULT_TRIPLE_CAP, DEFAULT_VERTEX_CAP, PreconditionViolated,
                      TheoremFalsified, VertexCapExceeded, check_cap)
-from .graph import (MultiGraph, contract_shore, cut_contractions,
-                    is_bipartite, is_petersen, make_cut,
+from .graph import (MultiGraph, contract_shore, cut_contractions, is_bipartite, make_cut,
                     shore_complement, shore_index_map)
 from .linalg import lattice_member
 from .matchings import matching_covered, matching_table, require_matching_covered
@@ -122,8 +120,6 @@ def _p_brickcount(g: MultiGraph, cap: int) -> tuple[str, dict]:
 
 
 def _p_nearbrick(g: MultiGraph, cap: int) -> tuple[str, dict]:
-    if not is_near_brick(g):
-        return "pass", {"vacuous": "not a near-brick"}
     d = polytope_dim(g)
     cuts = separating_cuts(g, cap)
     shore_face = dict(shore_faces(g))
@@ -138,8 +134,6 @@ def _p_nearbrick(g: MultiGraph, cap: int) -> tuple[str, dict]:
 
 
 def _p_barrier(g: MultiGraph, cap: int) -> tuple[str, dict]:
-    if not is_near_brick(g):
-        return "pass", {"vacuous": "not a near-brick"}
     check_cap(g, cap)
     barriers = []
     for shore in tight_shores(g):
@@ -149,8 +143,6 @@ def _p_barrier(g: MultiGraph, cap: int) -> tuple[str, dict]:
 
 
 def _p_fdilift(g: MultiGraph, cap: int) -> tuple[str, dict]:
-    if not is_near_brick(g):
-        return "pass", {"vacuous": "not a near-brick"}
     check_cap(g, cap)
     d = polytope_dim(g)
     t = matching_table(g)
@@ -193,8 +185,6 @@ def _bipartite_middle(g: MultiGraph, small: frozenset[int], big: frozenset[int])
 
 
 def _p_equiv(g: MultiGraph, cap: int) -> tuple[str, dict]:
-    if not is_near_brick(g):
-        return "pass", {"vacuous": "not a near-brick"}
     groups: dict[int, list] = {}
     cuts = separating_facet_defining_cuts(g, cap)
     shore_face = dict(shore_faces(g))
@@ -273,13 +263,7 @@ def _p_triple(g: MultiGraph, cap: int) -> tuple[str, dict]:
     return "pass", {"canonical_triples": checked}
 
 
-def _is_brick(g: MultiGraph) -> bool:
-    return find_tight_cut(g) is None and not is_bipartite(g)[0]
-
-
 def _p_lemma(g: MultiGraph, cap: int) -> tuple[str, dict]:
-    if not _is_brick(g):
-        return "pass", {"vacuous": "not a brick"}
     t = matching_table(g)
     edge_faces = {t.avoiding(eid) for eid in g.edge_ids}
     if any(face not in edge_faces for face in ridges(g, cap)):
@@ -287,7 +271,7 @@ def _p_lemma(g: MultiGraph, cap: int) -> tuple[str, dict]:
     if g.vertex_count > 10:
         return "fail", {"reason": "premise holds but |V| > 10",
                         "vertices": g.vertex_count}
-    if is_petersen(g):
+    if tight_cut_decomposition(g).leaf_label == "petersen_brick":
         return "pass", {"branch": "petersen", "vertices": g.vertex_count}
     if is_bvn(g, cap)[0]:
         return "pass", {"branch": "bvn", "vertices": g.vertex_count}
@@ -299,8 +283,6 @@ def _p_lemma(g: MultiGraph, cap: int) -> tuple[str, dict]:
 
 
 def _p_lemma_count(g: MultiGraph, cap: int) -> tuple[str, dict]:
-    if not _is_brick(g):
-        return "pass", {"vacuous": "not a brick"}
     d = polytope_dim(g)
     if d < 2:
         return "pass", {"vacuous": "dimension below 2"}
@@ -370,6 +352,18 @@ _CHECKS = {
 PROPERTY_IDS: tuple[str, ...] = tuple(_CHECKS)
 
 
+def _is_brick(g: MultiGraph) -> bool:
+    return tight_cut_decomposition(g).is_leaf and is_near_brick(g)
+
+
+# a property whose premise fails on g holds vacuously, with this reason
+_DOMAINS = {
+    **dict.fromkeys(("P-NEARBRICK", "P-BARRIER", "P-FDILIFT", "P-EQUIV"),
+                    (is_near_brick, "not a near-brick")),
+    **dict.fromkeys(("P-LEMMA", "P-LEMMA-COUNT"), (_is_brick, "not a brick")),
+}
+
+
 def verify_property(g: MultiGraph, property_id: str, graph_name: str = "graph",
                     max_vertices: int = DEFAULT_VERTEX_CAP,
                     triple_cap: int = DEFAULT_TRIPLE_CAP) -> PropertyReport:
@@ -378,8 +372,12 @@ def verify_property(g: MultiGraph, property_id: str, graph_name: str = "graph",
         raise PreconditionViolated("unknown_property", f"unknown property {property_id!r}")
     require_matching_covered(g)
     cap = triple_cap if property_id == "P-TRIPLE" else max_vertices
+    domain = _DOMAINS.get(property_id)
     try:
-        status, cert = _CHECKS[property_id](g, cap)
+        if domain and not domain[0](g):
+            status, cert = "pass", {"vacuous": domain[1]}
+        else:
+            status, cert = _CHECKS[property_id](g, cap)
     except VertexCapExceeded as exc:
         return PropertyReport(property_id, graph_name, "skipped",
                               {"cap": exc.cap, "vertices": exc.vertices})

@@ -1,10 +1,11 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from pmlattice import basis
+from pmlattice import basis, decomposition, graph
 from pmlattice.basis import (Basis, characterize_lattice,
                              find_intersection_pair, integral_basis,
                              lattice_basis, matching_lattice,
@@ -12,14 +13,16 @@ from pmlattice.basis import (Basis, characterize_lattice,
                              merge_coefficients, near_brick_petersen_basis,
                              parity_lattice, pm_linear_basis)
 from pmlattice.corpus import random_matching_covered
-from pmlattice.decomposition import (canonical_parity_cycle, find_tight_cut, parity_sets,
-                                     petersen_bricks)
+from pmlattice.decomposition import (barrier_of_tight_cut, canonical_parity_cycle,
+                                     find_tight_cut, parity_sets, petersen_bricks,
+                                     tight_cut_decomposition)
 from pmlattice.errors import PreconditionViolated, TheoremFalsified, VertexCapExceeded
-from pmlattice.graph import MultiGraph, boundary, cut_contractions, five_cycles, make_cut
+from pmlattice.graph import (PETERSEN_PAIRS, Cut, MultiGraph, boundary, cut_contractions,
+                             five_cycles, make_cut)
 from pmlattice.linalg import hnf, lattice_equal, lattice_index, rank
-from pmlattice.matchings import (MatchingTable, enumerate_perfect_matchings,
+from pmlattice.matchings import (MatchingTable, enumerate_perfect_matchings, extend_across_cut,
                                  incidence_vectors, matching_table)
-from pmlattice.polytope import (is_bvn, polytope_dim, separating_cuts,
+from pmlattice.polytope import (cuts_equivalent, is_bvn, polytope_dim, separating_cuts,
                                 separating_facet_defining_cuts)
 
 from conftest import (bareiss_rank, matching_rows, oracle_hnf, oracle_index,
@@ -75,6 +78,25 @@ def test_merge_rejects_non_separating(corpus):
     cut = make_cut(g, (0, 2, 4))
     with pytest.raises(PreconditionViolated):
         merge_bases(g, cut, pm_linear_basis(g), pm_linear_basis(g))
+
+
+@pytest.mark.parametrize("cut", [Cut((0,), frozenset({99})), Cut((0, 1, 2), frozenset({99})),
+                                 Cut((0, 1, 2), frozenset({0}))])
+def test_a_callers_cut_must_be_the_boundary_of_its_shore(corpus, cut):
+    """A ``Cut`` whose boundary is not delta(shore) in the graph is refused
+    as ``bad_cut`` by every function that takes one from its caller."""
+    g = corpus["prism"]
+    rung = make_cut(g, (0, 1, 2))
+    ks, kc = cut_contractions(g, rung.shore_set)
+    calls = [lambda: cuts_equivalent(g, cut, rung), lambda: cuts_equivalent(g, rung, cut),
+             lambda: barrier_of_tight_cut(g, cut),
+             lambda: merge_bases(g, cut, pm_linear_basis(ks), pm_linear_basis(kc)),
+             lambda: extend_across_cut(g, cut, enumerate_perfect_matchings(ks)[0])]
+    for call in calls:
+        with pytest.raises(PreconditionViolated) as exc:
+            call()
+        assert exc.value.reason == "bad_cut"
+    assert cuts_equivalent(g, rung, rung)
 
 
 def _petersen_merge(corpus):
@@ -299,6 +321,57 @@ def test_lattice_basis(corpus):
         assert lattice_equal(hnf(b.vectors(), len(g.edges)), matching_saturation(g))
     b, psets = lattice_basis(corpus["pete-k4-splice"])
     assert len(psets) == 1 and len(b.elements) == 9
+
+
+def _petersen_pair() -> MultiGraph:
+    """Two copies of Petersen less vertex 0 (vertices 0-8 and 9-17) whose
+    three attachment vertices go to the barrier {18, 19}: two tight cuts,
+    two Petersen bricks and one brace."""
+    side = [(u - 1, v - 1) for u, v in PETERSEN_PAIRS if 0 not in (u, v)]
+    x, y, z = sorted(u + v - 1 for u, v in PETERSEN_PAIRS if 0 in (u, v))
+    joins = [(x, 18), (y, 19), (z, 18), (x + 9, 19), (y + 9, 18), (z + 9, 19)]
+    return MultiGraph.from_pairs(20, side + [(u + 9, v + 9) for u, v in side] + joins)
+
+
+def test_lattice_basis_reports_the_trees_parity_sets(corpus):
+    """``basis lattice`` and ``characterize`` read one list of parity sets:
+    the canonical 5-cycle of each Petersen leaf, in the tree's leaf order."""
+    pair = _petersen_pair()
+    leaves = [leaf for leaf in tight_cut_decomposition(pair).leaves()
+              if leaf.leaf_label == "petersen_brick"]
+    assert len(leaves) == 2 and leaves[0].graph != leaves[1].graph
+    graphs = [*corpus.values(), pair] + _random_graphs()
+    for g in graphs:
+        psets = lattice_basis(g)[1]
+        assert psets == tuple(parity_sets(g))
+        assert characterize_lattice(g).parity_sets == tuple(tuple(sorted(a)) for a in psets)
+    assert lattice_basis(pair)[1] == tuple(
+        frozenset(canonical_parity_cycle(leaf.graph)[1]) for leaf in leaves)
+
+
+def test_one_tight_shore_scan_per_graph(corpus, monkeypatch):
+    """The memoized decomposition tree is the one descent: from a cleared
+    memo, the basis builders and the 3-intersection search scan each
+    graph's tight shores once, contractions included."""
+    scans = collections.Counter()
+    scan = decomposition.tight_shores
+
+    def counting(g):
+        scans[g] += 1
+        return scan(g)
+
+    monkeypatch.setattr(decomposition, "tight_shores", counting)
+    graphs = {**corpus, "random-v12-s8": random_matching_covered(8, 12, 3)[1]}
+    for name, g in graphs.items():
+        graph._memo.cache_clear()
+        scans.clear()
+        lattice_basis(g)
+        for build in (integral_basis, find_intersection_pair):
+            try:
+                build(g)
+            except PreconditionViolated:
+                pass
+        assert scans[g] == 1 and set(scans.values()) == {1}, (name, sorted(scans.values()))
 
 
 def test_lattice_basis_spans_matching_lattice(corpus):

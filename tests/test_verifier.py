@@ -114,6 +114,24 @@ def test_p_lemma_count_fails_when_rank_disagrees(corpus, monkeypatch):
                              "dim": 2, "expected": 3}
 
 
+@pytest.mark.parametrize("pid", ["P-NEARBRICK", "P-BARRIER", "P-FDILIFT", "P-EQUIV",
+                                 "P-LEMMA", "P-LEMMA-COUNT"])
+def test_domain_test_fails_inside_the_report(corpus, monkeypatch, pid):
+    """A property's domain (near-brick or brick) is tested inside the
+    report, so a falsified claim behind that test (here a faked
+    brick-count mismatch) reports ``fail``, not an exception."""
+    from pmlattice import decomposition
+    from pmlattice.errors import TheoremFalsified
+
+    def mismatch(g):
+        raise TheoremFalsified("brick count equals |E|-|V|+1-dim P(G)", {"dim": -1})
+
+    monkeypatch.setattr(decomposition, "spanning_matchings", mismatch)
+    r = verify_property(corpus["prism"], pid, "prism")
+    assert r.status == "fail"
+    assert r.certificate == {"claim": "brick count equals |E|-|V|+1-dim P(G)", "dim": -1}
+
+
 def test_p_barrier_runs_on_real_tight_cut(corpus):
     r = verify_property(corpus["pete-c4-splice"], "P-BARRIER", "x")
     assert r.status == "pass" and r.certificate["tight_cuts"] >= 1
