@@ -98,6 +98,14 @@ class MergeResult(NamedTuple):
     context: MergeContext
 
 
+def _missing_edges(g: MultiGraph, matchings: Iterable[PerfectMatching]) -> list[int]:
+    """Sorted ids of the edges of g that none of ``matchings`` uses."""
+    missing = set(g.edge_ids)
+    for m in matchings:
+        missing -= m.edge_ids
+    return sorted(missing)
+
+
 def _only_cut_edge(m: PerfectMatching, cut_boundary: frozenset[int]) -> int:
     through = m.edge_ids & cut_boundary
     if len(through) != 1:
@@ -143,11 +151,7 @@ def merge_bases(g: MultiGraph, cut: Cut, b1: Basis, b2: Basis,
             pin_idx = b1.elements.index(pin)
         else:
             raise PreconditionViolated("bad_pin", "pin is neither an index of b1 nor one of its elements")
-        covered: set[int] = set()
-        for i, m in enumerate(b1.elements):
-            if i != pin_idx:
-                covered |= m.edge_ids
-        if covered != set(b1.graph.edge_ids):
+        if _missing_edges(b1.graph, (m for i, m in enumerate(b1.elements) if i != pin_idx)):
             raise PreconditionViolated(
                 "bad_pin", "b1 minus the pin must avoid no edge of its contraction")
         pe = used1[pin_idx]
@@ -188,13 +192,10 @@ def merge_bases(g: MultiGraph, cut: Cut, b1: Basis, b2: Basis,
         if hits != [zstar]:
             raise TheoremFalsified("pinned element occurs in exactly one output", {
                 "hits": hits, "zstar": zstar})
-        covered_out: set[int] = set()
-        for i, z in enumerate(elements):
-            if i != zstar:
-                covered_out |= z.edge_ids
-        if covered_out != set(g.edge_ids):
+        missing = _missing_edges(g, (z for i, z in enumerate(elements) if i != zstar))
+        if missing:
             raise TheoremFalsified("outputs minus the pinned one avoid no edge", {
-                "missing": sorted(set(g.edge_ids) - covered_out)})
+                "missing": missing})
 
     kind = b1.kind if b1.kind == b2.kind else "linear"
     ctx = MergeContext(g, cut, b1, b2, cut_edges,
@@ -285,12 +286,10 @@ def _petersen_family(h: MultiGraph, cycle_vertices: Iterable[int]) -> list[Perfe
     if rank(incidence_vectors(h, family)) != len(family):
         raise TheoremFalsified("Petersen family is linearly independent", {
             "size": len(family)})
-    covered: set[int] = set()
-    for m in family[1:]:
-        covered |= m.edge_ids
-    if covered != set(h.edge_ids):
+    missing = _missing_edges(h, family[1:])
+    if missing:
         raise TheoremFalsified("non-head family members cover every edge", {
-            "missing": sorted(set(h.edge_ids) - covered)})
+            "missing": missing})
     return family
 
 
@@ -341,13 +340,10 @@ def near_brick_petersen_basis(g: MultiGraph, d5: Cut | Iterable[int]) -> tuple[P
     ordered = (elems[pin],) + tuple(m for i, m in enumerate(elems) if i != pin)
     head_cross = len(ordered[0].edge_ids & d_edges)
     tail_cross = sorted({len(m.edge_ids & d_edges) for m in ordered[1:]})
-    covered: set[int] = set()
-    for m in ordered[1:]:
-        covered |= m.edge_ids
-    if head_cross != 5 or tail_cross != [1] or covered != set(g.edge_ids):
+    missing = _missing_edges(g, ordered[1:])
+    if head_cross != 5 or tail_cross != [1] or missing:
         raise TheoremFalsified("near-brick Petersen basis intersection pattern", {
-            "head": head_cross, "tail": tail_cross,
-            "missing": sorted(set(g.edge_ids) - covered)})
+            "head": head_cross, "tail": tail_cross, "missing": missing})
     return ordered
 
 

@@ -26,9 +26,8 @@ from .cmdline import UsageError, parse_args
 from .corpus import (CORPUS_NAMES, corpus_graph, graph_to_file_dict,
                      parse_graph_file, random_matching_covered, write_json)
 from .errors import (DEFAULT_VERTEX_CAP, PmLatticeError, PreconditionViolated,
-                     TheoremFalsified, VertexCapExceeded, check_cap)
-from .matchings import (MatchingIdLists, count_perfect_matchings, matching_masks,
-                        require_matching_covered)
+                     TheoremFalsified, VertexCapExceeded)
+from .matchings import MatchingIdLists, count_perfect_matchings, matching_masks, scan_table
 
 if TYPE_CHECKING:
     from .graph import MultiGraph
@@ -127,8 +126,7 @@ def _cmd_polytope(args, g: MultiGraph) -> dict:
 def _cmd_cuts(args, g: MultiGraph) -> dict:
     if args.action == "tight":
         from .decomposition import tight_shores
-        require_matching_covered(g)
-        check_cap(g, args.max_vertices)
+        scan_table(g, args.max_vertices)
         return {"shores": [list(shore) for shore in tight_shores(g)]}
     from .polytope import classify_all_cuts, facet_cuts, separating_cuts
     if args.action == "classify":

@@ -7,8 +7,8 @@ The memoized tree (``tight_cut_decomposition``) is the one place tight-cut
 structure is derived: ``find_tight_cut`` is its root cut, the lattice basis
 folds it and the leaf labels say which graphs are bricks and which hold a
 Petersen brick.  Each subtree is memoized with its own graph, so a
-cut-contraction's tree is the subtree and every graph's tight shores are
-scanned once per memo.
+cut-contraction's tree is the subtree; a graph's tight shores, which the
+verifier also reads, and a Petersen leaf's parity cycle are memoized too.
 
 Contraction keeps edge ids, so every node's edge ids are root edge ids and
 edge sets found in a leaf (such as Petersen 5-cycles) need no lifting.
@@ -52,7 +52,8 @@ class DecompTree(NamedTuple):
         return a.leaves() + b.leaves()
 
 
-def tight_shores(g: MultiGraph) -> list[tuple[int, ...]]:
+@per_graph
+def tight_shores(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
     """Every canonical tight shore (vertex 0 inside, 1 < |X| < n-1), in
     (size, lex) order.
 
@@ -82,7 +83,7 @@ def tight_shores(g: MultiGraph) -> list[tuple[int, ...]]:
                 shore = vm | 1 << x
                 out.append(tuple(v for v in range(n) if shore >> v & 1))
     out.sort(key=lambda s: (len(s), s))
-    return out
+    return tuple(out)
 
 
 def _leaf_label(g: MultiGraph) -> str:
@@ -200,6 +201,7 @@ def petersen_bricks(g: MultiGraph) -> list[tuple[DecompTree, list[tuple[int, ...
     return out
 
 
+@per_graph
 def canonical_parity_cycle(leaf_graph: MultiGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical 5-cycle of a Petersen brick used as a parity set:
     (vertex tuple, edge id tuple).

@@ -47,6 +47,7 @@ class VertexCapExceeded(PmLatticeError):
 
 
 def check_cap(g, max_vertices: int) -> None:
-    """Raise :class:`VertexCapExceeded` if graph ``g`` has over ``max_vertices`` vertices."""
+    """Raise :class:`VertexCapExceeded` if graph ``g`` has over ``max_vertices``
+    vertices; called only by ``matchings.scan_table``, the one scan gate."""
     if g.vertex_count > max_vertices:
         raise VertexCapExceeded(g.vertex_count, max_vertices)

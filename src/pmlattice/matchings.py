@@ -22,7 +22,8 @@ face, dimension, crossing-count and cut-equivalence query in ``polytope``,
 incidence row is built from a mask only where an exact rank or lattice
 computation reads it.  The face of a cut is a two-level bit-sliced counter
 over its edges' ``cols`` (Knuth, TAOCP 4A 7.1.3): a few big-int operations
-per cut edge rather than one test per matching.  The masks, matchings,
+per cut edge rather than one test per matching.  Every capped scan takes
+the table from ``scan_table``, the one gate.  The masks, matchings,
 table and matching-covered verdict are kept in the graph's memo
 (``graph.per_graph``).
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import PreconditionViolated, TheoremFalsified
+from .errors import PreconditionViolated, TheoremFalsified, check_cap
 from .graph import Cut, MultiGraph, _check_cut, cut_contractions, is_connected, per_graph
 
 
@@ -333,6 +334,16 @@ def matching_covered(g: MultiGraph) -> bool:
 def require_matching_covered(g: MultiGraph) -> None:
     if not is_matching_covered(g)[0]:
         raise PreconditionViolated("not_matching_covered")
+
+
+def scan_table(g: MultiGraph, max_vertices: int) -> MatchingTable:
+    """The table of g for an exponential scan (odd shores, tight cuts,
+    P-TRIPLE's triples): the one gate of every capped scan.  Raises
+    ``not_matching_covered`` first, then ``VertexCapExceeded`` above
+    ``max_vertices``."""
+    require_matching_covered(g)
+    check_cap(g, max_vertices)
+    return matching_table(g)
 
 
 def _is_perfect_matching_of(g: MultiGraph, edge_ids: frozenset[int]) -> bool:

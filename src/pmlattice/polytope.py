@@ -6,7 +6,8 @@ deduplicate at desk scale.  Faces intersect by ``&``, and face ``a`` lies
 in face ``b`` when ``not a & ~b``.  Masks, incidence rows and crossing
 counts come from the graph's table, ``matchings.matching_table``; the face
 of every canonical nontrivial odd shore is computed once per graph
-(``shore_faces``) and every odd-shore scan reads it.
+(``shore_faces``) and every odd-shore scan reads it, each scan behind the
+one gate, ``matchings.scan_table`` (matching-covered, then the vertex cap).
 
 The facial structure is read from face masks through three identities,
 with no rank:
@@ -41,12 +42,12 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .decomposition import spanning_matchings
-from .errors import DEFAULT_VERTEX_CAP, PreconditionViolated, TheoremFalsified, check_cap
+from .errors import DEFAULT_VERTEX_CAP, PreconditionViolated, TheoremFalsified
 from .graph import (Cut, MultiGraph, _check_cut, _proper_shore, boundary, make_cut, odd_shores,
                     per_graph, shore_complement)
 from .linalg import rank
 from .matchings import (MatchingTable, PerfectMatching, enumerate_perfect_matchings,
-                        matching_table, require_matching_covered)
+                        matching_table, require_matching_covered, scan_table)
 
 
 def _bits(mask: int) -> list[int]:
@@ -222,16 +223,14 @@ def classify_cut(g: MultiGraph, x: Iterable[int]) -> CutClass:
 
 def separating_cuts(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Cut]:
     """All separating cuts over canonical nontrivial odd shores, scan order."""
-    require_matching_covered(g)
-    check_cap(g, max_vertices)
-    t = matching_table(g)
+    t = scan_table(g, max_vertices)
     return [_shore_cut(g, t, shore) for shore, face in shore_faces(g) if _separates(t, face)]
 
 
 def _facet_shores(g: MultiGraph) -> list[tuple[tuple[int, ...], int]]:
     """(shore, face mask) for every canonical nontrivial odd shore whose
     cut face is a facet, in canonical shore order.  The one facet-shore
-    scan: callers check matching-coveredness and the vertex cap first."""
+    scan: callers pass the gate, ``matchings.scan_table``, first."""
     polytope_dim(g)  # the brick-count cross-check
     facets = facet_masks(g)
     return [(shore, face) for shore, face in shore_faces(g) if face in facets]
@@ -291,17 +290,13 @@ def idp_decompose(g: MultiGraph, x: Mapping[int, int], k: int) -> list[PerfectMa
 def separating_facet_defining_cuts(g: MultiGraph,
                                    max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Cut]:
     """Separating cuts whose face is a facet, in canonical shore order."""
-    require_matching_covered(g)
-    check_cap(g, max_vertices)
-    t = matching_table(g)
+    t = scan_table(g, max_vertices)
     return [_shore_cut(g, t, shore) for shore, face in _facet_shores(g) if _separates(t, face)]
 
 
 def facet_cuts(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Cut]:
     """Cuts whose face is a facet, over canonical nontrivial odd shores, scan order."""
-    require_matching_covered(g)
-    check_cap(g, max_vertices)
-    t = matching_table(g)
+    t = scan_table(g, max_vertices)
     return [_shore_cut(g, t, shore) for shore, _ in _facet_shores(g)]
 
 
@@ -309,10 +304,8 @@ def classify_all_cuts(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> 
     """classify_cut over every canonical nontrivial odd shore, scan order.
     dim P(G) is computed once, and a face is ranked only when it is
     neither a facet (d-1) nor P (d)."""
-    require_matching_covered(g)
-    check_cap(g, max_vertices)
+    t = scan_table(g, max_vertices)
     d = polytope_dim(g)
-    t = matching_table(g)
     facets = facet_masks(g)
     out = []
     for shore, face in shore_faces(g):
@@ -324,10 +317,8 @@ def classify_all_cuts(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> 
 def enumerate_facets(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Face]:
     """All facets, deduplicated by face mask, with their exposers, in
     ``Face.key`` order (the order of ``facet_masks``)."""
-    require_matching_covered(g)
-    check_cap(g, max_vertices)
+    t = scan_table(g, max_vertices)
     d = polytope_dim(g)
-    t = matching_table(g)
     facets = facet_masks(g)
     edges_for: dict[int, list[int]] = {}
     cuts_for: dict[int, list[Cut]] = {}
@@ -345,8 +336,7 @@ def ridges(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> Iterator[in
     """Face masks of the pairwise facet intersections of dimension d-2,
     each once, in facet-pair order: those held by no third facet (the
     diamond property; no rank)."""
-    require_matching_covered(g)
-    check_cap(g, max_vertices)
+    scan_table(g, max_vertices)
     d = polytope_dim(g)
     facets = list(facet_masks(g))
     incidence = facet_incidence(g)
@@ -405,6 +395,8 @@ def uncross(g: MultiGraph, c1: Cut | Iterable[int], c2: Cut | Iterable[int]) -> 
     """
     x1 = frozenset(c1.shore) if isinstance(c1, Cut) else frozenset(c1)
     x2 = frozenset(c2.shore) if isinstance(c2, Cut) else frozenset(c2)
+    if len(x1) % 2 == 0 or len(x2) % 2 == 0:
+        raise PreconditionViolated("even_shore", "uncrossing needs two odd shores")
     inter, union = x1 & x2, x1 | x2
     if not (inter and x1 - x2 and x2 - x1 and shore_complement(g, union)):
         raise PreconditionViolated("not_crossing", "shores do not cross")

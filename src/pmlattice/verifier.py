@@ -9,16 +9,16 @@ concrete witness so a red property doubles as a refutation certificate.
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .decomposition import (barrier_of_tight_cut, brick_count, is_near_brick, parity_sets,
                             tight_cut_decomposition, tight_shores)
 from .errors import (DEFAULT_TRIPLE_CAP, DEFAULT_VERTEX_CAP, PreconditionViolated,
-                     TheoremFalsified, VertexCapExceeded, check_cap)
-from .graph import (MultiGraph, contract_shore, cut_contractions, is_bipartite, make_cut,
+                     TheoremFalsified, VertexCapExceeded)
+from .graph import (Cut, MultiGraph, contract_shore, cut_contractions, is_bipartite, make_cut,
                     shore_complement, shore_index_map)
 from .linalg import lattice_member
-from .matchings import matching_covered, matching_table, require_matching_covered
+from .matchings import matching_covered, matching_table, require_matching_covered, scan_table
 from .polytope import (cuts_equivalent, enumerate_codim2_faces, enumerate_facets, facet_incidence,
                        is_bvn, is_separating, members_dim, polytope_dim, ridges, separating_cuts,
                        separating_facet_defining_cuts, shore_faces, uncross)
@@ -35,6 +35,25 @@ class PropertyReport(NamedTuple):
                 "status": self.status, "certificate": self.certificate}
 
 
+def _with_faces(g: MultiGraph, cuts: list[Cut]) -> list[tuple[Cut, int]]:
+    """Each cut of an odd-shore scan with its face mask, read from the
+    scan's own product, ``shore_faces``."""
+    face = dict(shore_faces(g))
+    return [(cut, face[cut.shore]) for cut in cuts]
+
+
+def _oriented_pairs(g: MultiGraph, cuts: list[Cut]) \
+        -> Iterator[tuple[int, int, frozenset[int], frozenset[int]]]:
+    """(i, j, X1, X2) for each pair i < j of ``cuts``: their shores, X2
+    complemented when |X1 & X2| is even, so crossing shores meet oddly."""
+    for i in range(len(cuts)):
+        for j in range(i + 1, len(cuts)):
+            x1, x2 = cuts[i].shore_set, cuts[j].shore_set
+            if len(x1 & x2) % 2 == 0:
+                x2 = shore_complement(g, x2)
+            yield i, j, x1, x2
+
+
 def _p_dim(g: MultiGraph, cap: int) -> tuple[str, dict]:
     d = polytope_dim(g)  # raises TheoremFalsified unless b = |E| - |V| + 1 - d
     b = brick_count(g)
@@ -44,30 +63,24 @@ def _p_dim(g: MultiGraph, cap: int) -> tuple[str, dict]:
 
 def _p_uncross(g: MultiGraph, cap: int) -> tuple[str, dict]:
     cuts = separating_cuts(g, cap)
-    shore_face = dict(shore_faces(g))
-    faces = [shore_face[cut.shore] for cut in cuts]
+    faces = [face for _, face in _with_faces(g, cuts)]
     t = matching_table(g)
     checked = applicable = 0
-    for i in range(len(cuts)):
-        for j in range(i + 1, len(cuts)):
-            x1 = cuts[i].shore_set
-            x2 = cuts[j].shore_set
-            if len(x1 & x2) % 2 == 0:
-                x2 = shore_complement(g, x2)
-            if not (x1 & x2 and x1 - x2 and x2 - x1 and shore_complement(g, x1 | x2)):
-                continue
-            checked += 1
-            f12 = faces[i] & faces[j]
-            if not f12 or not t.covers_all_edges(f12):
-                continue
-            applicable += 1
-            _, _, report = uncross(g, x1, x2)
-            if not (report.no_edge_between_differences and report.identity_holds
-                    and report.face_intersection_equal):
-                return "fail", {"shore1": sorted(x1), "shore2": sorted(x2),
-                                "no_edge": report.no_edge_between_differences,
-                                "identity": report.identity_holds,
-                                "faces_equal": report.face_intersection_equal}
+    for i, j, x1, x2 in _oriented_pairs(g, cuts):
+        if not (x1 & x2 and x1 - x2 and x2 - x1 and shore_complement(g, x1 | x2)):
+            continue
+        checked += 1
+        f12 = faces[i] & faces[j]
+        if not f12 or not t.covers_all_edges(f12):
+            continue
+        applicable += 1
+        _, _, report = uncross(g, x1, x2)
+        if not (report.no_edge_between_differences and report.identity_holds
+                and report.face_intersection_equal):
+            return "fail", {"shore1": sorted(x1), "shore2": sorted(x2),
+                            "no_edge": report.no_edge_between_differences,
+                            "identity": report.identity_holds,
+                            "faces_equal": report.face_intersection_equal}
     return "pass", {"crossing_pairs": checked, "face_condition_pairs": applicable}
 
 
@@ -91,14 +104,12 @@ def _face_of_face_exposed(g: MultiGraph, face: int) -> tuple[int, int]:
 
 def _p_bvncontract(g: MultiGraph, cap: int) -> tuple[str, dict]:
     applicable = 0
-    cuts = separating_cuts(g, cap)
-    shore_face = dict(shore_faces(g))
-    for cut in cuts:
+    for cut, face in _with_faces(g, separating_cuts(g, cap)):
         ks, kc = cut_contractions(g, cut.shore_set)
         if not (is_bvn(ks, cap)[0] and is_bvn(kc, cap)[0]):
             continue
         applicable += 1
-        total, exposed = _face_of_face_exposed(g, shore_face[cut.shore])
+        total, exposed = _face_of_face_exposed(g, face)
         if total != exposed:
             return "fail", {"shore": list(cut.shore), "facets": total,
                             "edge_exposed": exposed}
@@ -109,9 +120,8 @@ def _p_brickcount(g: MultiGraph, cap: int) -> tuple[str, dict]:
     d = polytope_dim(g)
     b = brick_count(g)
     cuts = separating_cuts(g, cap)
-    shore_face = dict(shore_faces(g))
-    for cut in cuts:
-        codim = d - members_dim(g, shore_face[cut.shore])
+    for cut, face in _with_faces(g, cuts):
+        codim = d - members_dim(g, face)
         ks, kc = cut_contractions(g, cut.shore_set)
         if brick_count(ks) + brick_count(kc) != b + codim:
             return "fail", {"shore": list(cut.shore), "codim": codim,
@@ -122,9 +132,8 @@ def _p_brickcount(g: MultiGraph, cap: int) -> tuple[str, dict]:
 def _p_nearbrick(g: MultiGraph, cap: int) -> tuple[str, dict]:
     d = polytope_dim(g)
     cuts = separating_cuts(g, cap)
-    shore_face = dict(shore_faces(g))
-    for cut in cuts:
-        fdi = members_dim(g, shore_face[cut.shore]) == d - 1
+    for cut, face in _with_faces(g, cuts):
+        fdi = members_dim(g, face) == d - 1
         ks, kc = cut_contractions(g, cut.shore_set)
         both_nb = brick_count(ks) == 1 and brick_count(kc) == 1
         if fdi != both_nb:
@@ -134,7 +143,7 @@ def _p_nearbrick(g: MultiGraph, cap: int) -> tuple[str, dict]:
 
 
 def _p_barrier(g: MultiGraph, cap: int) -> tuple[str, dict]:
-    check_cap(g, cap)
+    scan_table(g, cap)
     barriers = []
     for shore in tight_shores(g):
         b = barrier_of_tight_cut(g, make_cut(g, shore))  # raises on structural failure
@@ -143,14 +152,12 @@ def _p_barrier(g: MultiGraph, cap: int) -> tuple[str, dict]:
 
 
 def _p_fdilift(g: MultiGraph, cap: int) -> tuple[str, dict]:
-    check_cap(g, cap)
+    t = scan_table(g, cap)
     d = polytope_dim(g)
-    t = matching_table(g)
     lifted = 0
     for cut in (make_cut(g, shore) for shore in tight_shores(g)):
         for x in (cut.shore_set, shore_complement(g, cut.shore_set)):
-            collapse_x = contract_shore(g, shore_complement(g, x))
-            keep_x = contract_shore(g, x)
+            keep_x, collapse_x = cut_contractions(g, x)
             if not is_bipartite(collapse_x)[0] or is_bvn(keep_x, cap)[0]:
                 continue
             c_vertex = len(x)
@@ -185,37 +192,29 @@ def _bipartite_middle(g: MultiGraph, small: frozenset[int], big: frozenset[int])
 
 
 def _p_equiv(g: MultiGraph, cap: int) -> tuple[str, dict]:
-    groups: dict[int, list] = {}
-    cuts = separating_facet_defining_cuts(g, cap)
-    shore_face = dict(shore_faces(g))
-    for cut in cuts:
-        groups.setdefault(shore_face[cut.shore], []).append(cut)
+    groups: dict[int, list[Cut]] = {}
+    for cut, face in _with_faces(g, separating_facet_defining_cuts(g, cap)):
+        groups.setdefault(face, []).append(cut)
     pairs = nested = 0
     for cuts in groups.values():
-        for i in range(len(cuts)):
-            for j in range(i + 1, len(cuts)):
-                x1 = cuts[i].shore_set
-                x2 = cuts[j].shore_set
-                if len(x1 & x2) % 2 == 0:
-                    x2 = shore_complement(g, x2)
-                pairs += 1
-                if not cuts_equivalent(g, cuts[i], cuts[j]):
-                    return "fail", {"shore1": sorted(x1), "shore2": sorted(x2),
-                                    "reason": "same-facet cuts not equivalent"}
-                if x1 < x2 or x2 < x1:
-                    nested += 1
-                    small, big = (x1, x2) if x1 < x2 else (x2, x1)
-                    if not _bipartite_middle(g, small, big):
-                        return "fail", {"small": sorted(small), "big": sorted(big),
-                                        "reason": "middle contraction not bipartite with "
-                                                  "contraction vertices on opposite sides"}
+        for i, j, x1, x2 in _oriented_pairs(g, cuts):
+            pairs += 1
+            if not cuts_equivalent(g, cuts[i], cuts[j]):
+                return "fail", {"shore1": sorted(x1), "shore2": sorted(x2),
+                                "reason": "same-facet cuts not equivalent"}
+            if x1 < x2 or x2 < x1:
+                nested += 1
+                small, big = (x1, x2) if x1 < x2 else (x2, x1)
+                if not _bipartite_middle(g, small, big):
+                    return "fail", {"small": sorted(small), "big": sorted(big),
+                                    "reason": "middle contraction not bipartite with "
+                                              "contraction vertices on opposite sides"}
     return "pass", {"same_facet_pairs": pairs, "nested_pairs": nested}
 
 
 def _p_triple(g: MultiGraph, cap: int) -> tuple[str, dict]:
-    check_cap(g, cap)
+    table = scan_table(g, cap)
     n = g.vertex_count
-    table = matching_table(g)
     full_vertices = (1 << n) - 1
     odd_masks = [m for m in range(1, full_vertices)
                  if bin(m).count("1") % 2 == 1]

@@ -17,6 +17,10 @@ faces found by exact rank, and separating cuts by contracting both sides.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
+import inspect
+import sys
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
@@ -34,6 +38,24 @@ from pmlattice.matchings import (enumerate_perfect_matchings, matching_covered,
 @pytest.fixture(scope="session")
 def corpus() -> dict[str, MultiGraph]:
     return {name: corpus_graph(name) for name in CORPUS_NAMES}
+
+
+@contextlib.contextmanager
+def body_runs(fn):
+    """Count, per first argument, the runs of ``fn``'s own body inside the
+    block; a memoized call answered from its memo runs none.  The profiler
+    sees every run, whichever imported name the call went through."""
+    code, runs = inspect.unwrap(fn).__code__, collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            runs[frame.f_locals[code.co_varnames[0]]] += 1
+
+    sys.setprofile(profile)
+    try:
+        yield runs
+    finally:
+        sys.setprofile(None)
 
 
 def brute_force_matchings(g: MultiGraph) -> list[frozenset[int]]:

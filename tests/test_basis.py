@@ -25,7 +25,7 @@ from pmlattice.matchings import (MatchingTable, enumerate_perfect_matchings, ext
 from pmlattice.polytope import (cuts_equivalent, is_bvn, polytope_dim, separating_cuts,
                                 separating_facet_defining_cuts)
 
-from conftest import (bareiss_rank, matching_rows, oracle_hnf, oracle_index,
+from conftest import (bareiss_rank, body_runs, matching_rows, oracle_hnf, oracle_index,
                       oracle_parity_lattice, oracle_saturation)
 
 
@@ -372,6 +372,18 @@ def test_one_tight_shore_scan_per_graph(corpus, monkeypatch):
             except PreconditionViolated:
                 pass
         assert scans[g] == 1 and set(scans.values()) == {1}, (name, sorted(scans.values()))
+
+
+def test_lattice_basis_finds_each_parity_cycle_once(corpus):
+    """From a fresh memo, ``basis lattice`` computes the canonical 5-cycle
+    of each Petersen leaf once, for its matching family and its parity set."""
+    for g in (corpus["pete-k4-splice"], _petersen_pair()):
+        graph._memo.cache_clear()
+        with body_runs(canonical_parity_cycle) as runs:
+            lattice_basis(g)
+        leaves = [leaf.graph for leaf in tight_cut_decomposition(g).leaves()
+                  if leaf.leaf_label == "petersen_brick"]
+        assert leaves and runs == dict.fromkeys(leaves, 1)
 
 
 def test_lattice_basis_spans_matching_lattice(corpus):

@@ -130,7 +130,7 @@ def _oracle_leaf_edge_sets(g: MultiGraph, rng: random.Random | None) -> list[tup
 
 
 def _assert_tight_shores_match_oracle(g: MultiGraph, seeds=(None, 1, 2)) -> None:
-    assert tight_shores(g) == oracle_tight_shores(g)
+    assert tight_shores(g) == tuple(oracle_tight_shores(g))
     for seed in seeds:
         leaves = tight_cut_decomposition(g, seed=seed).leaves()
         got = sorted(tuple(sorted(leaf.graph.edge_ids)) for leaf in leaves)
@@ -146,7 +146,7 @@ def test_tight_shores_match_exhaustive_scan_on_corpus(corpus):
     relabelled = MultiGraph(g.vertex_count, tuple(
         (10**6 + 7 * (len(g.edges) - i), u, v) for i, (_, u, v) in enumerate(g.edges)))
     _assert_tight_shores_match_oracle(relabelled)
-    assert tight_shores(relabelled) == tight_shores(g) != []
+    assert tight_shores(relabelled) == tight_shores(g) != ()
 
 
 @settings(max_examples=40, deadline=None)

@@ -177,7 +177,7 @@ def _assert_facial_structure_matches_oracle(g: MultiGraph) -> None:
              c.face.mask, c.face.dim) for c in classes] == want.classes
     assert all(c.cut == make_cut(g, c.cut.shore) for c in classes)
     assert separating_cuts(g) == [c.cut for c in classes if c.is_separating]
-    assert tight_shores(g) == [c.cut.shore for c in classes if c.is_tight]
+    assert tight_shores(g) == tuple(c.cut.shore for c in classes if c.is_tight)
     assert facet_cuts(g) == [c.cut for c in classes if c.is_facet_defining]
     sep_facet = [c.cut for c in classes if c.is_separating and c.is_facet_defining]
     assert separating_facet_defining_cuts(g) == sep_facet
@@ -369,6 +369,17 @@ def test_uncross_rejects_bad_pairs(corpus):
         uncross(g, (0, 1, 2), (0, 1, 2, 3, 4))  # nested, not crossing
     with pytest.raises(PreconditionViolated):
         uncross(g, (0, 1, 2), (1, 2, 3))  # even intersection
+
+
+@pytest.mark.parametrize("name, x1, x2", [("cube", (0, 1), (1, 2, 3)),
+                                          ("petersen", (0, 1, 2, 3), (3, 4, 5)),
+                                          ("petersen", (3, 4, 5), (0, 1, 2, 3))])
+def test_uncross_rejects_even_shores(corpus, name, x1, x2):
+    """The shores cross with an odd intersection, but an even shore's cut
+    is no odd cut: the pair is outside the lemma, not a counterexample."""
+    with pytest.raises(PreconditionViolated) as exc:
+        uncross(corpus[name], x1, x2)
+    assert exc.value.reason == "even_shore"
 
 
 def test_double_prism_has_no_uncrossable_pair(corpus):

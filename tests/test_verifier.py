@@ -2,9 +2,14 @@ import json
 
 import pytest
 
+from pmlattice import graph
+from pmlattice.corpus import random_matching_covered
+from pmlattice.decomposition import tight_shores
 from pmlattice.errors import PreconditionViolated
 from pmlattice.graph import MultiGraph
 from pmlattice.verifier import PROPERTY_IDS, verify_all, verify_property
+
+from conftest import body_runs
 
 
 def test_catalog_is_complete():
@@ -160,3 +165,14 @@ def test_quick_catalog_small_graphs(corpus):
     for name in ("k4", "c6", "prism"):
         for r in verify_all(corpus[name], name):
             assert r.status == "pass", (name, r.property_id, r.certificate)
+
+
+def test_verify_all_scans_each_graphs_tight_shores_once():
+    """From a fresh memo, every graph the catalog touches (the graph, its
+    cut-contractions and theirs) has its tight shores scanned once: the
+    decomposition tree, P-BARRIER and P-FDILIFT read one memoized scan."""
+    g = random_matching_covered(8, 12, 3)[1]
+    graph._memo.cache_clear()
+    with body_runs(tight_shores) as runs:
+        verify_all(g, "random-v12-s8")
+    assert runs[g] == 1 and set(runs.values()) == {1}, sorted(runs.values())
