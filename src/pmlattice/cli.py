@@ -268,7 +268,7 @@ def _run(args) -> tuple[dict, int]:
         # graph stays null until perfbench/expected.json, which pins the
         # byte content of one precondition report, is regenerated
         return _precondition(command, exc), 2
-    except (PmLatticeError, ValueError, OSError) as exc:
+    except (PmLatticeError, ValueError, OSError, MemoryError) as exc:
         return _error(command, exc), 2
 
 

@@ -15,22 +15,22 @@ decodes them only for callers that return matchings.
 
 ``matching_table(g)`` keeps the masks with indices over their bits: the
 edge id of each bit, a star mask per vertex, and per edge the set of
-matchings using it (``cols``, the column-major transpose of the masks),
-built once per graph.  A face is an int mask over matching indices; every
-face, dimension, crossing-count and cut-equivalence query in ``polytope``,
-``decomposition``, ``verifier`` and ``basis`` reads the table, and an
-incidence row is built from a mask only where an exact rank or lattice
-computation reads it.  The face of a cut is a two-level bit-sliced counter
-over its edges' ``cols`` (Knuth, TAOCP 4A 7.1.3): a few big-int operations
-per cut edge rather than one test per matching.  Every capped scan takes
-the table from ``scan_table``, the one gate.  The masks, matchings,
-table and matching-covered verdict are kept in the graph's memo
-(``graph.per_graph``).
+matchings using it (``cols``, the masks' transpose by ``transpose``, the
+one bit-matrix transpose), built once per graph.  A face is an int mask
+over matching indices; every face, dimension, crossing-count and
+cut-equivalence query in ``polytope``, ``decomposition``, ``verifier`` and
+``basis`` reads the table, and an incidence row is built from a mask only
+where an exact rank or lattice computation reads it.  The face of a cut is
+a two-level bit-sliced counter over its edges' ``cols`` (Knuth, TAOCP 4A
+7.1.3): a few big-int operations per cut edge rather than one test per
+matching.  Every capped scan takes the table from ``scan_table``, the one
+gate.  The masks, matchings, table and matching-covered verdict are kept
+in the graph's memo (``graph.per_graph``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionViolated, TheoremFalsified, check_cap
 from .graph import Cut, MultiGraph, _check_cut, cut_contractions, is_connected, per_graph
@@ -212,12 +212,12 @@ class MatchingTable(NamedTuple):
 
     Bit b of an edge mask is edge ``ids[b]`` (``edge_pos`` inverts it), and
     bit i of a face mask is matching i (``enumerate_perfect_matchings(g)[i]``
-    decodes it where one is returned).  ``cols`` holds one face mask per
-    edge bit (the matchings using it) and ``stars`` one edge mask per vertex,
-    so the boundary of a vertex set is the XOR of its stars.  Rows (``row``)
-    are in ``g.edges`` order, entry i being bit ``row_bits[i]``, and are
-    built only where an exact rank or lattice computation reads them.
-    """
+    decodes it where one is returned).  ``cols``, the transpose of ``masks``,
+    holds one face mask per edge bit (the matchings using it) and ``stars``
+    one edge mask per vertex, so the boundary of a vertex set is the XOR of
+    its stars.  Rows (``row``) are in ``g.edges`` order, entry i being bit
+    ``row_bits[i]``, built only where an exact rank or lattice computation
+    reads them."""
 
     ids: tuple[int, ...]
     edge_pos: dict[int, int]
@@ -275,7 +275,24 @@ class MatchingTable(NamedTuple):
         return all(col & face for col in self.cols)
 
 
-COLS_SLICE = 4096  # matchings per slice of the table's columns, bounding the build peak
+COLS_SLICE = 1024  # rows and bits per block of ``transpose``, bounding its peak
+
+
+def transpose(rows: Sequence[int], width: int) -> list[int]:
+    """Bit r of ``out[b]`` is bit b of ``rows[r]``, for b below ``width``.
+    Per block of ``COLS_SLICE`` rows by w <= ``COLS_SLICE`` bits, the rows,
+    last first, are written as w binary digits each; the digits of bit b
+    sit every w characters and, read as one number, are its part of out[b]."""
+    out = [0] * width
+    for start in range(0, len(rows), COLS_SLICE):
+        block = rows[start:start + COLS_SLICE][::-1]
+        for low in range(0, width, COLS_SLICE):
+            w = min(COLS_SLICE, width - low)
+            keep, spec = (1 << w) - 1, f"0{w}b"
+            digits = "".join([format(r >> low & keep, spec) for r in block])
+            for b in range(w):
+                out[low + b] |= int(digits[w - 1 - b::w], 2) << start
+    return out
 
 
 @per_graph
@@ -287,16 +304,9 @@ def matching_table(g: MultiGraph) -> MatchingTable:
     for b, (_, u, v) in zip(row_bits, g.edges):
         stars[u] |= 1 << b
         stars[v] |= 1 << b
-    masks, e = matching_masks(g), len(ids)
-    cols = [0] * e
-    for start in range(0, len(masks), COLS_SLICE):
-        # the slice's masks as e binary digits each, last matching first: the
-        # digits of bit b sit every e characters, and read as one binary
-        # number they are the slice's part of cols[b]
-        digits = "".join(format(m, f"0{e}b") for m in reversed(masks[start:start + COLS_SLICE]))
-        for b in range(e):
-            cols[b] |= int(digits[e - 1 - b::e], 2) << start
-    return MatchingTable(ids, edge_pos, masks, tuple(cols), tuple(stars), row_bits)
+    masks = matching_masks(g)
+    return MatchingTable(ids, edge_pos, masks, tuple(transpose(masks, len(ids))), tuple(stars),
+                         row_bits)
 
 
 def count_perfect_matchings(g: MultiGraph) -> int:

@@ -4,10 +4,11 @@ A face is an int mask over the canonical matching enumeration (bit i is
 matching i), never an inequality system: exact, finite, and easy to
 deduplicate at desk scale.  Faces intersect by ``&``, and face ``a`` lies
 in face ``b`` when ``not a & ~b``.  Masks, incidence rows and crossing
-counts come from the graph's table, ``matchings.matching_table``; the face
-of every canonical nontrivial odd shore is computed once per graph
-(``shore_faces``) and every odd-shore scan reads it, each scan behind the
-one gate, ``matchings.scan_table`` (matching-covered, then the vertex cap).
+counts come from the graph's table, ``matchings.matching_table``, and
+every bit-matrix transpose from ``matchings.transpose``; the face of every
+canonical nontrivial odd shore is computed once per graph (``shore_faces``)
+and every odd-shore scan reads it, each scan behind the one gate,
+``matchings.scan_table`` (matching-covered, then the vertex cap).
 
 The facial structure is read from face masks through three identities,
 with no rank:
@@ -47,7 +48,7 @@ from .graph import (Cut, MultiGraph, _check_cut, _proper_shore, boundary, make_c
                     per_graph, shore_complement)
 from .linalg import rank
 from .matchings import (MatchingTable, PerfectMatching, enumerate_perfect_matchings,
-                        matching_table, require_matching_covered, scan_table)
+                        matching_table, require_matching_covered, scan_table, transpose)
 
 
 def _bits(mask: int) -> list[int]:
@@ -132,14 +133,10 @@ def _shore_cut(g: MultiGraph, t: MatchingTable, shore: tuple[int, ...]) -> Cut:
     return Cut(shore, frozenset(t.ids[b] for b in _bits(t.cut_mask(shore))))
 
 
-# ``_held`` stops ANDing once this few candidate sets are left and tests
-# each with one subset test: a face held by several sets would otherwise be
-# ANDed over all of its members.  ANDing over every member instead (stopping
-# only when no candidate is left), with no subset test, is simpler but
-# slower: on random-v16-s7 (``random_matching_covered(7, 16, 5)``), best of
-# 6 interleaved in-process runs on a shared 2-vCPU VM (2.1 GHz Xeon),
-# ``ridges`` took 2.12 s against 1.37 s and ``facet_masks`` 0.23 s against
-# 0.18 s.
+# ``_held`` stops ANDing once this few candidate sets are left and tests each directly.
+# ANDing over every member instead is simpler but slower on random-v16-s7
+# (``random_matching_covered(7, 16, 5)``): ``ridges`` 1.73 s against 1.20 s and ``facet_masks``
+# 0.21 s against 0.16 s, best of 6 interleaved in-process runs on a shared 2-vCPU Xeon VM.
 _NARROW = 16
 
 
@@ -147,12 +144,16 @@ def _held(face: int, incidence: Sequence[int], sets: Sequence[int], candidates: 
     """Whether one of the sets among ``candidates`` (bit k is ``sets[k]``)
     holds ``face``; ``incidence[i]`` has bit k when ``sets[k]`` holds
     matching i.  The AND of ``incidence`` over the face's members narrows
-    the candidates until at most ``_NARROW`` are left, and those are tested
-    directly."""
+    the candidates until at most ``_NARROW`` are left, then tested directly,
+    as is the lowest one left after the first member, often a holder."""
     maybe = candidates
-    if maybe.bit_count() > _NARROW:
+    if maybe.bit_count() > _NARROW and face:
         digits = bin(face)[:1:-1]  # bit i is character i
         i = digits.find("1")
+        maybe &= incidence[i]
+        if maybe and not face & ~sets[(maybe & -maybe).bit_length() - 1]:
+            return True
+        i = digits.find("1", i + 1)
         while i >= 0 and maybe.bit_count() > _NARROW:
             maybe &= incidence[i]
             i = digits.find("1", i + 1)
@@ -169,31 +170,28 @@ def facet_masks(g: MultiGraph) -> dict[int, int]:
     """The facets of P(G) as face masks, each mapped to its position in
     ``Face.key`` order: the inclusion-maximal faces of ``x_e >= 0`` and of
     the nontrivial odd cuts, without the empty face and P (exact by the
-    Edmonds description; no rank)."""
+    Edmonds description; no rank).  Largest first, a candidate can be held
+    only by a facet before it.  Facets form an antichain, so ``Face.key``
+    order is descending order of the bit-reversed masks."""
     t = matching_table(g)
     candidates = {t.avoiding(eid) for eid in g.edge_ids}.union(f for _, f in shore_faces(g))
-    candidates -= {0, t.all_matchings}
-    # a face strictly inside a facet has fewer members, so the facets come first
-    kept: list[int] = []
-    holders = [0] * len(t.masks)  # bit k: kept[k] holds matching i
-    for face in sorted(candidates, key=int.bit_count, reverse=True):
-        if not _held(face, holders, kept, (1 << len(kept)) - 1):
-            for i in _bits(face):
-                holders[i] |= 1 << len(kept)
-            kept.append(face)
-    kept.sort(key=_bits)
-    return {face: k for k, face in enumerate(kept)}
+    faces = sorted(candidates - {0, t.all_matchings}, key=int.bit_count, reverse=True)
+    width = len(t.masks)
+    holders = transpose(faces, width)  # bit k: faces[k] holds matching i
+    kept, facets = 0, []  # bit k of kept: faces[k] is a facet
+    for k, face in enumerate(faces):
+        if not _held(face, holders, faces, kept):
+            kept |= 1 << k
+            facets.append(face)
+    facets.sort(key=lambda f: int(format(f, f"0{width}b")[::-1], 2), reverse=True)
+    return {face: k for k, face in enumerate(facets)}
 
 
 @per_graph
 def facet_incidence(g: MultiGraph) -> tuple[int, ...]:
     """Per matching, the facets holding it (bit k is the k-th facet of
     ``facet_masks``): the transpose of the facet masks."""
-    rows = [0] * len(matching_table(g).masks)
-    for face, k in facet_masks(g).items():
-        for i in _bits(face):
-            rows[i] |= 1 << k
-    return tuple(rows)
+    return tuple(transpose(list(facet_masks(g)), len(matching_table(g).masks)))
 
 
 def _cut_class(t: MatchingTable, cut: Cut, face: int, fdim: int, d: int) -> CutClass:
@@ -322,13 +320,11 @@ def enumerate_facets(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> l
     facets = facet_masks(g)
     edges_for: dict[int, list[int]] = {}
     cuts_for: dict[int, list[Cut]] = {}
-    for eid in g.edge_ids:
-        face = t.avoiding(eid)
-        if face in facets:
-            edges_for.setdefault(face, []).append(eid)
+    for eid in sorted(g.edge_ids):
+        edges_for.setdefault(t.avoiding(eid), []).append(eid)
     for shore, face in _facet_shores(g):
         cuts_for.setdefault(face, []).append(_shore_cut(g, t, shore))
-    return [Face(face, d - 1, tuple(sorted(edges_for.get(face, ()))), tuple(cuts_for.get(face, ())))
+    return [Face(face, d - 1, tuple(edges_for.get(face, ())), tuple(cuts_for.get(face, ())))
             for face in facets]
 
 
@@ -362,12 +358,9 @@ def enumerate_codim2_faces(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP
     d = polytope_dim(g)
     t = matching_table(g)
     by_edge: dict[int, list[int]] = {}
-    for eid in g.edge_ids:
-        face = t.avoiding(eid)
-        if face in seen:
-            by_edge.setdefault(face, []).append(eid)
-    return sorted((Face(face, d - 2, tuple(sorted(by_edge.get(face, ())))) for face in seen),
-                  key=Face.key)
+    for eid in sorted(g.edge_ids):
+        by_edge.setdefault(t.avoiding(eid), []).append(eid)
+    return sorted((Face(face, d - 2, tuple(by_edge.get(face, ()))) for face in seen), key=Face.key)
 
 
 def cuts_equivalent(g: MultiGraph, c1: Cut, c2: Cut) -> bool:

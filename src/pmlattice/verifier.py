@@ -19,8 +19,8 @@ from .graph import (Cut, MultiGraph, contract_shore, cut_contractions, is_bipart
                     shore_complement, shore_index_map)
 from .linalg import lattice_member
 from .matchings import matching_covered, matching_table, require_matching_covered, scan_table
-from .polytope import (cuts_equivalent, enumerate_codim2_faces, enumerate_facets, facet_incidence,
-                       is_bvn, is_separating, members_dim, polytope_dim, ridges, separating_cuts,
+from .polytope import (_separates, cuts_equivalent, enumerate_codim2_faces, enumerate_facets,
+                       facet_incidence, is_bvn, members_dim, polytope_dim, ridges, separating_cuts,
                        separating_facet_defining_cuts, shore_faces, uncross)
 
 
@@ -160,19 +160,16 @@ def _p_fdilift(g: MultiGraph, cap: int) -> tuple[str, dict]:
             keep_x, collapse_x = cut_contractions(g, x)
             if not is_bipartite(collapse_x)[0] or is_bvn(keep_x, cap)[0]:
                 continue
-            c_vertex = len(x)
             back = {new: old for old, new in shore_index_map(x).items()}
             for dcut in separating_facet_defining_cuts(keep_x, cap):
                 side = set(dcut.shore)
-                if c_vertex in side:
+                if len(x) in side:
                     side = set(range(keep_x.vertex_count)) - side
                 y = frozenset(back[v] for v in side)
                 lifted += 1
-                ok = (members_dim(g, t.face(t.cut_mask(y))) == d - 1
-                      and is_separating(g, tuple(sorted(y))))
-                if not ok:
-                    return "fail", {"tight_shore": list(cut.shore),
-                                    "inner_shore": sorted(y)}
+                face = t.face(t.cut_mask(y))
+                if members_dim(g, face) != d - 1 or not _separates(t, face):
+                    return "fail", {"tight_shore": list(cut.shore), "inner_shore": sorted(y)}
     return "pass", {"lifted_cuts": lifted}
 
 

@@ -283,6 +283,24 @@ def test_cli_corpus_random_rejects_bad_arguments(capsys, monkeypatch):
     assert json.loads(captured.out)["result"] == {"error": "vertex_cap", "vertices": 18, "cap": 16}
 
 
+def test_cli_memory_error_exits_2_with_a_report(tmp_path, capsys, monkeypatch):
+    """A scan that runs out of memory (K16's odd-shore faces need about
+    4.1 GB) ends in a structured error report and exit 2, not a traceback."""
+    from pmlattice import polytope
+
+    def out_of_memory(g):
+        raise MemoryError()
+
+    path = tmp_path / "p.json"
+    assert main(["corpus", "emit", "petersen", "--output", str(path)]) == 0
+    monkeypatch.setattr(polytope, "shore_faces", out_of_memory)
+    code = main(["cuts", "separating", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["status"] == "error" and doc["result"] == {"error": "MemoryError", "message": ""}
+
+
 def test_cli_corpus_random_stops_drawing_at_the_complete_graph():
     """Draws past the complete graph add no edge, so ``corpus random`` with a
     huge --matchings ends as soon as every pair is an edge."""

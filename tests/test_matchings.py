@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -11,7 +12,7 @@ from pmlattice.graph import MultiGraph, cut_contractions, make_cut
 from pmlattice.matchings import (COLS_SLICE, PerfectMatching, count_perfect_matchings,
                                  enumerate_perfect_matchings,
                                  extend_across_cut, is_matching_covered,
-                                 matching_edge_ids, matching_masks, matching_table)
+                                 matching_edge_ids, matching_masks, matching_table, transpose)
 from pmlattice.polytope import idp_decompose
 
 from conftest import bipartite_matching_count, brute_force_matchings
@@ -183,12 +184,25 @@ def test_listing_drops_completions_once_read():
 
 
 def test_table_columns_across_slices():
-    """K12's 10,395 matchings span three slices; every column is the face
-    mask of the matchings using its edge bit."""
+    """K12's 10,395 matchings span more than two blocks of rows; every column
+    is the face mask of the matchings using its edge bit."""
     t = matching_table(_complete(12, 7000))
     assert len(t.masks) > 2 * COLS_SLICE
     for b, col in enumerate(t.cols):
         assert col == sum(1 << i for i, m in enumerate(t.masks) if m >> b & 1), b
+
+
+@pytest.mark.parametrize("rows, width", [(0, 5), (3, 0), (1, 1), (COLS_SLICE + 3, 7),
+                                         (5, COLS_SLICE + 9), (2 * COLS_SLICE + 1, 70)])
+def test_transpose_against_the_naive_transpose(rows, width):
+    """Seeded random bit matrices, with empty rows, whose shapes cross
+    ``COLS_SLICE`` on each axis; bits of a row at or above ``width`` are
+    not read."""
+    rng = random.Random(rows * 7919 + width)
+    matrix = [0 if rng.random() < 0.2 else rng.getrandbits(width + 3) for _ in range(rows)]
+    want = [sum((r >> b & 1) << i for i, r in enumerate(matrix)) for b in range(width)]
+    assert transpose(matrix, width) == want
+    assert transpose(tuple(matrix), width) == want
 
 
 def test_long_path_masks_list_one_matching():

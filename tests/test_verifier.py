@@ -93,6 +93,22 @@ def test_p_lemma_stops_at_the_first_ridge_not_edge_exposed(monkeypatch):
     assert lemma < len(calls) - lemma
 
 
+def test_p_fdilift_reads_each_lifted_cut_face_once(corpus, monkeypatch):
+    """P-FDILIFT tests a lifted cut's face for separation from the face it
+    already read for its dimension, with no ``is_separating`` call."""
+    from pmlattice import polytope, verifier
+
+    calls = []
+    for mod in (polytope, verifier):
+        if hasattr(mod, "is_separating"):
+            real = getattr(mod, "is_separating")
+            monkeypatch.setattr(mod, "is_separating",
+                                lambda *a, real=real: calls.append(a) or real(*a))
+    r = verify_property(corpus["pete-c4-splice"], "P-FDILIFT", "pete-c4-splice")
+    assert (r.status, r.certificate) == ("pass", {"lifted_cuts": 12})
+    assert calls == []
+
+
 def test_p_lemma_count_petersen_numbers(corpus):
     r = verify_property(corpus["petersen"], "P-LEMMA-COUNT", "petersen")
     assert r.status == "pass"
