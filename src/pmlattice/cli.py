@@ -5,13 +5,14 @@ The command line is read by ``cmdline.parse_args``; a malformed one exits
 stderr.
 
 Reports are byte-deterministic for a fixed input and tool version, so
-``timing_ms`` stays null unless --timing is passed.  ``corpus.write_json``
-streams every report as ``json.dumps(report, indent=2)`` would write it;
-``pm list`` renders its matchings while they are written.  Exit codes: 0
-for success / all-pass, 1 for a property failure or falsified claim, 2 for
-usage, parse, or precondition errors, an unwritable --output or a closed
-stdout.  ``python -m pmlattice.cli`` and the ``pmlattice`` script end
-through ``run``.
+``timing_ms``, the last field, stays null unless --timing is passed; it is
+read when written.  ``corpus.write_json`` streams every report as
+``json.dumps(report, indent=2)`` would write it; ``pm list`` and ``polytope
+facets``/``codim2`` render their matchings and faces while writing.  Exit
+codes: 0 for success / all-pass, 1 for a property failure or falsified
+claim, 2 for usage, parse, or precondition errors, an unwritable --output
+or a closed stdout.  ``python -m pmlattice.cli`` and the ``pmlattice``
+script end through ``run``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, NoReturn
+from typing import TYPE_CHECKING, Callable, NoReturn
 
 from . import __version__
 from .cmdline import UsageError, parse_args
@@ -72,7 +73,7 @@ def _emit(doc: dict, output: str | None) -> None:
 
 
 def _report(command: str, graph_name: str | None, status: str, result: dict,
-            warnings: list[str], timing_ms: float | None) -> dict:
+            warnings: list[str], timing_ms: Callable[[], float] | None) -> dict:
     return {
         "schema": SCHEMA,
         "tool": "pmlattice",
@@ -112,15 +113,14 @@ def _cmd_polytope(args, g: MultiGraph) -> dict:
     if args.action == "facets":
         facets = enumerate_facets(g, args.max_vertices)
         return {"dim": polytope_dim(g), "facet_count": len(facets),
-                "facets": [{"members": list(f.key()),
-                            "exposing_edges": list(f.exposed_by_edges),
+                "facets": ({"members": f.key(), "exposing_edges": f.exposed_by_edges,
                             "exposing_cut_shores": [_shore(c) for c in f.exposed_by_cuts]}
-                           for f in facets]}
+                           for f in facets)}
     faces = enumerate_codim2_faces(g, args.max_vertices)
     return {"dim": polytope_dim(g), "count": len(faces),
             "all_edge_exposed": all(f.exposed_by_edges for f in faces),
-            "faces": [{"members": list(f.key()),
-                       "exposing_edges": list(f.exposed_by_edges)} for f in faces]}
+            "faces": ({"members": f.key(), "exposing_edges": f.exposed_by_edges}
+                      for f in faces)}
 
 
 def _cmd_cuts(args, g: MultiGraph) -> dict:
@@ -231,7 +231,7 @@ def _run(args) -> tuple[dict, int]:
                         "exponential scans may be slow")
 
     def finish(name, status, result, code):
-        timing = round((time.monotonic() - started) * 1000.0, 3) if args.timing else None
+        timing = (lambda: round((time.monotonic() - started) * 1000.0, 3)) if args.timing else None
         return _report(command, name, status, result, warnings, timing), code
 
     name = None

@@ -145,7 +145,7 @@ def _scalar(obj) -> str:
 def write_json(obj, write, pad: str = "\n") -> None:
     """Write ``obj`` (str dict keys only) as ``json.dumps(obj, indent=2)`` would,
     in chunks; lists, tuples and iterators (consumed as written) become arrays,
-    and ``matchings.MatchingIdLists`` the array of its id lists."""
+    ``matchings.MatchingIdLists`` its id lists and a function its value when reached."""
     inner = pad + "  "
     if isinstance(obj, dict):
         sep = "{" + inner
@@ -166,6 +166,8 @@ def write_json(obj, write, pad: str = "\n") -> None:
             write_json(value, write, inner)
             sep = "," + inner
         write("[]" if sep[0] == "[" else pad + "]")
+    elif callable(obj):
+        write_json(obj(), write, pad)
     else:
         write(encode_basestring_ascii(obj) if isinstance(obj, str) else _scalar(obj))
 

@@ -16,8 +16,9 @@ with no rank:
 - Facets (``facet_masks``).  P(G) is described by ``x_e >= 0``, the degree
   equations and ``x(C) >= 1`` for the nontrivial odd cuts C (Edmonds 1965).
   Every facet is the face of one of those inequalities and every proper
-  face lies in a facet, so the facets are the inclusion-maximal faces of
-  the edges and odd cuts, once the empty face and P are set aside.
+  face lies in a facet, so the facets are the inclusion-maximal faces c
+  of the edges and odd cuts, save ∅ and P.  The faces of a face F are the
+  sets F & G, G a face of P, so its facets are the maximal F & c, save ∅, F.
 - Separating cuts (``is_separating``).  A cut of a matching-covered graph
   is separating iff every edge lies in a perfect matching meeting the cut
   once, that is iff its face is nonempty and its matchings use every edge
@@ -32,10 +33,10 @@ with no rank:
 Dimension is computed by rank only where a dimension is reported or
 verified.  dim P(G) (``polytope_dim``) is read from its certificate,
 ``decomposition.spanning_matchings``; a face's dimension (``members_dim``,
-memoized on the mask) is the rank of its rows, for the face dimensions of
-``classify_all_cuts`` that are not a facet's or P's and for the
-verifier's checks.  A BvN graph's integer points of kP are sums of k
-perfect matchings (``idp_decompose``).
+memoized on the mask) is the rank of its rows, for the dimensions that
+``classify_cut`` and ``classify_all_cuts`` report and for P-BRICKCOUNT,
+P-NEARBRICK and P-LEMMA-COUNT; every facet test reads ``facet_masks``.  A
+BvN graph's points of kP are sums of k perfect matchings (``idp_decompose``).
 """
 
 from __future__ import annotations
@@ -166,25 +167,41 @@ def _held(face: int, incidence: Sequence[int], sets: Sequence[int], candidates: 
 
 
 @per_graph
-def facet_masks(g: MultiGraph) -> dict[int, int]:
-    """The facets of P(G) as face masks, each mapped to its position in
-    ``Face.key`` order: the inclusion-maximal faces of ``x_e >= 0`` and of
-    the nontrivial odd cuts, without the empty face and P (exact by the
-    Edmonds description; no rank).  Largest first, a candidate can be held
-    only by a facet before it.  Facets form an antichain, so ``Face.key``
-    order is descending order of the bit-reversed masks."""
+def edge_exposers(g: MultiGraph) -> dict[int, tuple[int, ...]]:
+    """Per face of some ``x_e >= 0``, the ids of its exposing edges e, ascending."""
     t = matching_table(g)
-    candidates = {t.avoiding(eid) for eid in g.edge_ids}.union(f for _, f in shore_faces(g))
-    faces = sorted(candidates - {0, t.all_matchings}, key=int.bit_count, reverse=True)
+    out: dict[int, tuple[int, ...]] = {}
+    for eid in sorted(g.edge_ids):
+        out[t.avoiding(eid)] = out.get(t.avoiding(eid), ()) + (eid,)
+    return out
+
+
+def _key_order(masks: Iterable[int], width: int) -> list[int]:
+    """An antichain's masks in ``Face.key`` order: their bit-reversed values, descending."""
+    return sorted(masks, key=lambda f: int(format(f, f"0{width}b")[::-1], 2), reverse=True)
+
+
+@per_graph
+def facet_masks(g: MultiGraph, face: int = -1) -> dict[int, int]:
+    """The facets of the face F with mask ``face`` (P(G) by default, -1
+    holding every matching), each mapped to its position in ``Face.key``
+    order: the inclusion-maximal sets F & c over the faces c of ``x_e >= 0``
+    and of the nontrivial odd cuts, save ∅, F and P (exact by the Edmonds
+    description; no rank; none for a point F).  Largest first, a candidate
+    can be held only by a facet before it."""
+    t = matching_table(g)
+    candidates = set(edge_exposers(g)).union(f for _, f in shore_faces(g))
+    if face != -1:  # F & c is c for F = P: copy no mask there
+        candidates = {face & c for c in candidates}
+    faces = sorted(candidates - {0, face, t.all_matchings}, key=int.bit_count, reverse=True)
     width = len(t.masks)
     holders = transpose(faces, width)  # bit k: faces[k] holds matching i
     kept, facets = 0, []  # bit k of kept: faces[k] is a facet
-    for k, face in enumerate(faces):
-        if not _held(face, holders, faces, kept):
+    for k, sub in enumerate(faces):
+        if not _held(sub, holders, faces, kept):
             kept |= 1 << k
-            facets.append(face)
-    facets.sort(key=lambda f: int(format(f, f"0{width}b")[::-1], 2), reverse=True)
-    return {face: k for k, face in enumerate(facets)}
+            facets.append(sub)
+    return {sub: k for k, sub in enumerate(_key_order(facets, width))}
 
 
 @per_graph
@@ -316,16 +333,12 @@ def enumerate_facets(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> l
     """All facets, deduplicated by face mask, with their exposers, in
     ``Face.key`` order (the order of ``facet_masks``)."""
     t = scan_table(g, max_vertices)
-    d = polytope_dim(g)
-    facets = facet_masks(g)
-    edges_for: dict[int, list[int]] = {}
+    d, exposers = polytope_dim(g), edge_exposers(g)
     cuts_for: dict[int, list[Cut]] = {}
-    for eid in sorted(g.edge_ids):
-        edges_for.setdefault(t.avoiding(eid), []).append(eid)
     for shore, face in _facet_shores(g):
         cuts_for.setdefault(face, []).append(_shore_cut(g, t, shore))
-    return [Face(face, d - 1, tuple(edges_for.get(face, ())), tuple(cuts_for.get(face, ())))
-            for face in facets]
+    return [Face(face, d - 1, exposers.get(face, ()), tuple(cuts_for.get(face, ())))
+            for face in facet_masks(g)]
 
 
 def ridges(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> Iterator[int]:
@@ -350,17 +363,12 @@ def ridges(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> Iterator[in
 
 
 def enumerate_codim2_faces(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Face]:
-    """Every ridge (``ridges``), in ``Face.key`` order.
-
-    Edge exposers are attached where the face is exactly P ∩ {x_e = 0}.
-    """
-    seen = set(ridges(g, max_vertices))
-    d = polytope_dim(g)
-    t = matching_table(g)
-    by_edge: dict[int, list[int]] = {}
-    for eid in sorted(g.edge_ids):
-        by_edge.setdefault(t.avoiding(eid), []).append(eid)
-    return sorted((Face(face, d - 2, tuple(by_edge.get(face, ()))) for face in seen), key=Face.key)
+    """Every ridge (``ridges``) in ``Face.key`` order, with the edges whose
+    face it is (``edge_exposers``)."""
+    width = len(scan_table(g, max_vertices).masks)
+    d, exposers = polytope_dim(g), edge_exposers(g)
+    return [Face(face, d - 2, exposers.get(face, ()))
+            for face in _key_order(ridges(g, max_vertices), width)]
 
 
 def cuts_equivalent(g: MultiGraph, c1: Cut, c2: Cut) -> bool:

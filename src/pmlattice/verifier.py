@@ -19,9 +19,10 @@ from .graph import (Cut, MultiGraph, contract_shore, cut_contractions, is_bipart
                     shore_complement, shore_index_map)
 from .linalg import lattice_member
 from .matchings import matching_covered, matching_table, require_matching_covered, scan_table
-from .polytope import (_separates, cuts_equivalent, enumerate_codim2_faces, enumerate_facets,
-                       facet_incidence, is_bvn, members_dim, polytope_dim, ridges, separating_cuts,
-                       separating_facet_defining_cuts, shore_faces, uncross)
+from .polytope import (_separates, cuts_equivalent, edge_exposers, enumerate_codim2_faces,
+                       enumerate_facets, facet_incidence, facet_masks, is_bvn, members_dim,
+                       polytope_dim, ridges, separating_cuts, separating_facet_defining_cuts,
+                       shore_faces, uncross)
 
 
 class PropertyReport(NamedTuple):
@@ -85,21 +86,11 @@ def _p_uncross(g: MultiGraph, cap: int) -> tuple[str, dict]:
 
 
 def _face_of_face_exposed(g: MultiGraph, face: int) -> tuple[int, int]:
-    """Facets of the face with mask ``face``: (count, edge-exposed count)."""
-    t = matching_table(g)
-    d0 = members_dim(g, face)
-    subs: set[int] = set()
-    edge_faces: set[int] = set()
-    for eid in g.edge_ids:
-        sub = face & t.avoiding(eid)
-        if members_dim(g, sub) == d0 - 1:
-            subs.add(sub)
-            edge_faces.add(sub)
-    for _, shore_face in shore_faces(g):
-        sub = face & shore_face
-        if members_dim(g, sub) == d0 - 1:
-            subs.add(sub)
-    return len(subs), sum(1 for s in subs if s in edge_faces)
+    """Facets of the face with mask ``face``, by maximality (``facet_masks``):
+    (count, how many are ``face & m`` for the face m of an edge)."""
+    facets = facet_masks(g, face)
+    edge_faces = {face & m for m in edge_exposers(g)}
+    return len(facets), sum(1 for sub in facets if sub in edge_faces)
 
 
 def _p_bvncontract(g: MultiGraph, cap: int) -> tuple[str, dict]:
@@ -153,7 +144,7 @@ def _p_barrier(g: MultiGraph, cap: int) -> tuple[str, dict]:
 
 def _p_fdilift(g: MultiGraph, cap: int) -> tuple[str, dict]:
     t = scan_table(g, cap)
-    d = polytope_dim(g)
+    polytope_dim(g)  # the brick-count cross-check
     lifted = 0
     for cut in (make_cut(g, shore) for shore in tight_shores(g)):
         for x in (cut.shore_set, shore_complement(g, cut.shore_set)):
@@ -168,7 +159,7 @@ def _p_fdilift(g: MultiGraph, cap: int) -> tuple[str, dict]:
                 y = frozenset(back[v] for v in side)
                 lifted += 1
                 face = t.face(t.cut_mask(y))
-                if members_dim(g, face) != d - 1 or not _separates(t, face):
+                if face not in facet_masks(g) or not _separates(t, face):
                     return "fail", {"tight_shore": list(cut.shore), "inner_shore": sorted(y)}
     return "pass", {"lifted_cuts": lifted}
 
@@ -260,9 +251,7 @@ def _p_triple(g: MultiGraph, cap: int) -> tuple[str, dict]:
 
 
 def _p_lemma(g: MultiGraph, cap: int) -> tuple[str, dict]:
-    t = matching_table(g)
-    edge_faces = {t.avoiding(eid) for eid in g.edge_ids}
-    if any(face not in edge_faces for face in ridges(g, cap)):
+    if any(face not in edge_exposers(g) for face in ridges(g, cap)):
         return "pass", {"vacuous": "a codim-2 face is not edge-exposed"}
     if g.vertex_count > 10:
         return "fail", {"reason": "premise holds but |V| > 10",

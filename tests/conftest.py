@@ -483,6 +483,25 @@ def oracle_faces(g: MultiGraph) -> OracleFaces:
     return OracleFaces(d, {m: (sorted(e), s) for m, (e, s) in facets.items()}, codim2, classes)
 
 
+def oracle_face_facets(g: MultiGraph, faces: list[int]) -> list[set[int]]:
+    """Per face mask F of ``faces``, its facets by exact rank: the sets
+    F & c of dimension dim F - 1, over the faces c of the edges and odd
+    cuts, each counted matching by matching."""
+    table = matching_table(g)
+    rows = [[m >> j & 1 for j in range(len(g.edges))] for m in table.masks]
+    dims: dict[int, int] = {}
+
+    def dim(face: int) -> int:
+        if face not in dims:
+            dims[face] = affine_dim([rows[i] for i in range(len(rows)) if face >> i & 1])
+        return dims[face]
+
+    exposed = {row_major_avoiding(table, eid) for eid in g.edge_ids}
+    exposed |= {row_major_face(table, table.edge_mask(make_cut(g, shore).boundary))
+                for shore in odd_shores(g)}
+    return [{face & c for c in exposed if dim(face & c) == dim(face) - 1} for face in faces]
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's earlier argparse grammar, the oracle for ``cli.parse_args``
     (which no longer accepts abbreviated option names)."""

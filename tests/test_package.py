@@ -89,17 +89,32 @@ def test_caps_have_one_owner():
     assert sorted(owners) == ["errors.DEFAULT_TRIPLE_CAP", "errors.DEFAULT_VERTEX_CAP"]
 
 
-def test_cap_check_has_one_caller():
-    """``check_cap`` is called only by ``matchings.scan_table``, the one
-    gate every capped scan passes."""
+def _callers(name: str) -> list[str]:
+    """``module.definition`` for every call of ``name`` in src, by the
+    top-level definition it sits in, in file order."""
     callers = []
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(), str(path)).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "check_cap" in (
+                if isinstance(node, ast.Call) and name in (
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     callers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert callers == ["matchings.scan_table"]
+    return callers
+
+
+def test_cap_check_has_one_caller():
+    """``check_cap`` is called only by ``matchings.scan_table``, the one
+    gate every capped scan passes."""
+    assert _callers("check_cap") == ["matchings.scan_table"]
+
+
+def test_rank_runs_only_where_a_dimension_is_reported_or_checked():
+    """``members_dim`` is called only where a face dimension is reported
+    (``classify_cut``, ``classify_all_cuts``) or a property checks one by
+    rank; every other facet question reads ``facet_masks``."""
+    assert set(_callers("members_dim")) == {
+        "polytope.classify_cut", "polytope.classify_all_cuts", "verifier._p_brickcount",
+        "verifier._p_nearbrick", "verifier._p_lemma_count"}
 
 
 PATH18 = MultiGraph.from_pairs(18, [(i, i + 1) for i in range(17)])

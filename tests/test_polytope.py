@@ -22,8 +22,8 @@ from pmlattice.polytope import (Face, classify_all_cuts, classify_cut,
                                 separating_facet_defining_cuts, uncross)
 
 from conftest import (bareiss_rank, brute_force_matchings, matching_rows, oracle_affine_dim,
-                      oracle_faces, oracle_hnf, oracle_is_separating, oracle_odd_faces,
-                      oracle_saturation, row_major_avoiding, row_major_face)
+                      oracle_face_facets, oracle_faces, oracle_hnf, oracle_is_separating,
+                      oracle_odd_faces, oracle_saturation, row_major_avoiding, row_major_face)
 
 
 def test_dimension_examples(corpus):
@@ -426,6 +426,40 @@ def test_facets_are_read_without_member_lists(monkeypatch):
     assert list(facets) == sorted(facets, key=lambda m: Face(m, 0).key())
     for i in range(len(matching_table(g).masks)):
         assert incidence[i] == sum(1 << k for face, k in facets.items() if face >> i & 1)
+
+
+def test_facets_of_a_face_are_its_maximal_faces(corpus):
+    """``facet_masks(g, F)`` finds the facets of F by maximality, in
+    ``Face.key`` order: for every separating cut's face F on the corpus and
+    seven random graphs, 90 faces in all, they are the facets found by rank."""
+    from pmlattice.polytope import shore_faces
+
+    graphs = list(corpus.values()) + [random_matching_covered(*args)[1] for args in (
+        (1, 10, 3), (2, 12, 3), (3, 12, 3), (8, 12, 3), (5, 10, 2), (7, 12, 2), (3, 14, 3))]
+    checked = 0
+    for g in graphs:
+        face_of = dict(shore_faces(g))
+        faces = [face_of[cut.shore] for cut in separating_cuts(g)]
+        for face, want in zip(faces, oracle_face_facets(g, faces)):
+            facets = facet_masks(g, face)
+            assert set(facets) == want
+            assert list(facets) == sorted(facets, key=lambda m: Face(m, 0).key())
+        checked += len(faces)
+    assert checked == 90
+
+
+def test_ridges_are_sorted_without_member_lists(monkeypatch):
+    """``enumerate_codim2_faces`` puts the ridges in ``Face.key`` order by
+    their masks, with no face's member list."""
+    from pmlattice import polytope
+
+    g = random_matching_covered(8, 12, 3)[1]
+    real, calls = polytope._bits, []
+    monkeypatch.setattr(polytope, "_bits", lambda mask: calls.append(mask) or real(mask))
+    codim2 = enumerate_codim2_faces(g)
+    assert calls == []
+    monkeypatch.undo()
+    assert codim2 == sorted(codim2, key=Face.key)
 
 
 def test_k12_facets_peak_in_little_memory():

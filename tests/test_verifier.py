@@ -109,6 +109,24 @@ def test_p_fdilift_reads_each_lifted_cut_face_once(corpus, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("pid, name, cert", [
+    ("P-BVNCONTRACT", "petersen", {"bvn_bvn_cuts": 6}),
+    ("P-BVNCONTRACT", "pete-k4-splice", {"bvn_bvn_cuts": 8}),
+    ("P-FDILIFT", "pete-c4-splice", {"lifted_cuts": 12}),
+])
+def test_facet_questions_rank_nothing(corpus, pid, name, cert):
+    """P-BVNCONTRACT counts the facets of a face, and P-FDILIFT tests a
+    lifted cut's face, by ``facet_masks``: from a fresh memo, no graph they
+    touch has a face ranked."""
+    from pmlattice.polytope import members_dim
+
+    graph._memo.cache_clear()
+    with body_runs(members_dim) as runs:
+        r = verify_property(corpus[name], pid, name)
+    assert (r.status, r.certificate) == ("pass", cert)
+    assert not runs
+
+
 def test_p_lemma_count_petersen_numbers(corpus):
     r = verify_property(corpus["petersen"], "P-LEMMA-COUNT", "petersen")
     assert r.status == "pass"
