@@ -4,10 +4,10 @@ separating facet-defining cut three times, bases for near-bricks with a
 Petersen brick, and the integral / lattice basis constructions with their
 mod-2 characterization of the matching lattice.
 
-One scan over the separating facet-defining cuts in canonical order finds
-the three-crossing pairs: ``intersect`` and P-LEMMA take its first pair,
-the brick step of the integral basis its first pair with Petersen-free
-sides.
+One lazy walk over the separating facet-defining cuts in canonical order
+finds the three-crossing pairs: ``intersect`` and P-LEMMA take its first
+pair, the brick step of the integral basis its first pair with
+Petersen-free sides, and the walk goes no further than they read.
 
 Everything here returns perfect matchings only; the integer span checks at
 the end of each construction are part of the contract, not optional
@@ -28,8 +28,8 @@ from .linalg import (Echelon, Lattice, hnf, lattice_equal, lattice_index, lattic
                      rank, saturation)
 from .matchings import (PerfectMatching, _is_perfect_matching_of,
                         enumerate_perfect_matchings, incidence_vectors,
-                        matching_table, require_matching_covered, spread_order)
-from .polytope import (is_bvn, is_separating, polytope_dim,
+                        matching_table, require_matching_covered, scan_table, spread_order)
+from .polytope import (_facet_walk, is_bvn, is_separating, polytope_dim,
                        separating_facet_defining_cuts)
 
 if TYPE_CHECKING:
@@ -368,9 +368,11 @@ def _intersection_preconditions(g: MultiGraph, max_vertices: int) -> None:
 def _three_crossing_pairs(g: MultiGraph, max_vertices: int) -> Iterator[IntersectionPair]:
     """Each separating facet-defining cut, in canonical shore order, that
     some perfect matching meets three times, with the first such matching.
-    The one search behind ``intersect``, the brick step and P-LEMMA."""
-    t = matching_table(g)
-    for cut in separating_facet_defining_cuts(g, max_vertices):
+    The one search behind ``intersect``, the brick step and P-LEMMA; it
+    filters the lazy walk ``polytope._facet_walk``, so a caller that takes
+    its first pair tests no face past that pair's cut."""
+    t = scan_table(g, max_vertices)
+    for cut in _facet_walk(g):
         i = t.three_crossing(t.edge_mask(cut.boundary))
         if i is not None:
             yield IntersectionPair(enumerate_perfect_matchings(g)[i], cut)

@@ -105,21 +105,23 @@ def _cmd_pm(args, g: MultiGraph) -> dict:
 
 
 def _cmd_polytope(args, g: MultiGraph) -> dict:
-    from .polytope import enumerate_codim2_faces, enumerate_facets, polytope_dim
+    from .polytope import enumerate_codim2_faces, enumerate_facets, member_lists, polytope_dim
     if args.action == "dim":
         from .decomposition import brick_count
         return {"dim": polytope_dim(g), "edges": len(g.edges),
                 "vertices": g.vertex_count, "bricks": brick_count(g)}
     if args.action == "facets":
         facets = enumerate_facets(g, args.max_vertices)
+        members = member_lists(g)
         return {"dim": polytope_dim(g), "facet_count": len(facets),
-                "facets": ({"members": f.key(), "exposing_edges": f.exposed_by_edges,
+                "facets": ({"members": members(f.mask), "exposing_edges": f.exposed_by_edges,
                             "exposing_cut_shores": [_shore(c) for c in f.exposed_by_cuts]}
                            for f in facets)}
     faces = enumerate_codim2_faces(g, args.max_vertices)
+    members = member_lists(g)
     return {"dim": polytope_dim(g), "count": len(faces),
             "all_edge_exposed": all(f.exposed_by_edges for f in faces),
-            "faces": ({"members": f.key(), "exposing_edges": f.exposed_by_edges}
+            "faces": ({"members": members(f.mask), "exposing_edges": f.exposed_by_edges}
                       for f in faces)}
 
 
@@ -128,13 +130,9 @@ def _cmd_cuts(args, g: MultiGraph) -> dict:
         from .decomposition import tight_shores
         scan_table(g, args.max_vertices)
         return {"shores": [list(shore) for shore in tight_shores(g)]}
-    from .polytope import classify_all_cuts, facet_cuts, separating_cuts
+    from .polytope import CutClassRows, facet_cuts, separating_cuts
     if args.action == "classify":
-        return {"cuts": [{
-            "shore": _shore(c.cut), "boundary": sorted(c.cut.boundary),
-            "tight": c.is_tight, "separating": c.is_separating,
-            "facet_defining": c.is_facet_defining, "face_dim": c.face.dim,
-        } for c in classify_all_cuts(g, args.max_vertices)]}
+        return {"cuts": CutClassRows(g, args.max_vertices)}
     if args.action == "separating":
         return {"shores": [_shore(c) for c in separating_cuts(g, args.max_vertices)]}
     return {"shores": [_shore(c) for c in facet_cuts(g, args.max_vertices)]}

@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 from .graph import PETERSEN_PAIRS, MultiGraph
-from .matchings import MatchingIdLists, matching_covered
+from .matchings import matching_covered
 
 Pairs = tuple[tuple[int, int], ...]
 
@@ -145,7 +145,9 @@ def _scalar(obj) -> str:
 def write_json(obj, write, pad: str = "\n") -> None:
     """Write ``obj`` (str dict keys only) as ``json.dumps(obj, indent=2)`` would,
     in chunks; lists, tuples and iterators (consumed as written) become arrays,
-    ``matchings.MatchingIdLists`` its id lists and a function its value when reached."""
+    an object with ``json_chunks(pad)`` (``matchings.MatchingIdLists``,
+    ``polytope.CutClassRows``, ``polytope.FaceMembers``) the text it yields,
+    and a function its value when reached."""
     inner = pad + "  "
     if isinstance(obj, dict):
         sep = "{" + inner
@@ -154,7 +156,7 @@ def write_json(obj, write, pad: str = "\n") -> None:
             write_json(value, write, inner)
             sep = "," + inner
         write("{}" if sep[0] == "{" else pad + "}")
-    elif isinstance(obj, MatchingIdLists):
+    elif hasattr(obj, "json_chunks"):
         for chunk in obj.json_chunks(pad):
             write(chunk)
     elif isinstance(obj, (list, tuple)) and set(map(type, obj)) == {int}:

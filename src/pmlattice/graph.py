@@ -116,18 +116,20 @@ def _memo(g: MultiGraph) -> _Memo:
 def per_graph(fn: Callable) -> Callable:
     """Memoize ``fn(g, *args)`` in the memo of ``g``, which equal graphs
     share; only the memos of the ``GRAPHS_KEPT`` most recently used graphs
-    are kept, and exceptions are not stored.  ``cache_info()`` gives hits,
-    misses and entries held, in the ``functools.lru_cache`` shape."""
+    are kept, and exceptions are not stored.  Keyword arguments are hints:
+    they may make ``fn`` cheaper but never change its result, so the key
+    leaves them out.  ``cache_info()`` gives hits, misses and entries held,
+    in the ``functools.lru_cache`` shape."""
 
     @functools.wraps(fn)
-    def memoized(g: MultiGraph, *args):
+    def memoized(g: MultiGraph, *args, **hints):
         memo, key = _memo(g), (memoized, args)
         with _lock:
             if key in memo:
                 counts[0] += 1
                 return memo[key]
             counts[1] += 1
-        result = fn(g, *args)
+        result = fn(g, *args, **hints)
         with _lock:
             counts[2] += key not in memo
             return memo.setdefault(key, result)

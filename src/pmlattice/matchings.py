@@ -30,7 +30,7 @@ in the graph's memo (``graph.per_graph``).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionViolated, TheoremFalsified, check_cap
 from .graph import Cut, MultiGraph, _check_cut, cut_contractions, is_connected, per_graph
@@ -150,6 +150,23 @@ def matching_edge_ids(g: MultiGraph) -> Iterator[list[int]]:
         yield ids
 
 
+def edge_id_text(g: MultiGraph, leaf: str) -> Callable[[int], str]:
+    """The renderer of an edge mask of ``matching_masks``' layout as the
+    text ``,{leaf}{id}`` per edge, smallest id first: one byte at a time,
+    where per byte position a table built once maps each of the 256 byte
+    values to the text of its edge ids."""
+    by_bit = _edge_ids_by_bit(g)
+    width = (len(by_bit) + 7) // 8
+    tables = []
+    for k in range(width):  # byte k holds bits 8*(width-1-k) .. 8*(width-k)-1
+        table = [""]
+        for b in range(8 * (width - k) - 1, 8 * (width - k - 1) - 1, -1):
+            piece = f",{leaf}{by_bit[b]}" if b < len(by_bit) else ""
+            table = [t for prefix in table for t in (prefix, prefix + piece)]
+        tables.append(table)
+    return lambda mask: "".join(map(list.__getitem__, tables, mask.to_bytes(width, "big")))
+
+
 class MatchingIdLists:
     """Every matching's sorted edge ids in canonical order, the lists of
     ``matching_edge_ids``, as JSON text that ``corpus.write_json`` writes
@@ -161,19 +178,9 @@ class MatchingIdLists:
     def json_chunks(self, pad: str) -> Iterator[str]:
         """The JSON text of the list of id lists at indent ``pad``, as
         ``json.dumps(list(matching_edge_ids(g)), indent=2)`` nests it,
-        256 matchings per chunk.  Each mask is rendered one byte at a time:
-        per byte position, a table built once maps each of the 256 byte
-        values to the text of its edge ids, smallest id first."""
-        by_bit = _edge_ids_by_bit(self.graph)
-        inner, leaf = pad + "  ", pad + "    "
-        width = (len(by_bit) + 7) // 8
-        tables = []
-        for k in range(width):  # byte k holds bits 8*(width-1-k) .. 8*(width-k)-1
-            table = [""]
-            for b in range(8 * (width - k) - 1, 8 * (width - k - 1) - 1, -1):
-                piece = f",{leaf}{by_bit[b]}" if b < len(by_bit) else ""
-                table = [t for prefix in table for t in (prefix, prefix + piece)]
-            tables.append(table)
+        256 matchings per chunk, each rendered by ``edge_id_text``."""
+        inner = pad + "  "
+        text = edge_id_text(self.graph, inner + "  ")
         masks = matching_masks(self.graph)
         if not masks:
             yield "[]"
@@ -182,7 +189,7 @@ class MatchingIdLists:
         for start in range(0, len(masks), 256):
             chunk = []
             for mask in masks[start:start + 256]:
-                ids = "".join(map(list.__getitem__, tables, mask.to_bytes(width, "big")))
+                ids = text(mask)
                 chunk.append(f"{sep}{ids[1:]}{inner}]" if ids else f"{sep[:-1]}[]")
                 sep = f",{inner}["
             yield "".join(chunk)
@@ -202,8 +209,13 @@ def spread_order(n: int) -> list[int]:
     order meets long runs of dependent rows; spread order reaches full
     rank after few more rows than the rank (K12: rank 55 after 55 of its
     10,395 rows, against 9,451 in canonical order)."""
+    return list(spread(n))
+
+
+def spread(n: int) -> Iterator[int]:
+    """``spread_order(n)`` as it is read, for a reader that may stop early."""
     step = 7919 if n % 7919 else 1
-    return [i * step % n for i in range(n)]
+    return (i * step % n for i in range(n))
 
 
 class MatchingTable(NamedTuple):
@@ -272,7 +284,7 @@ class MatchingTable(NamedTuple):
 
     def covers_all_edges(self, face: int) -> bool:
         """Whether the matchings of the face use every edge."""
-        return all(col & face for col in self.cols)
+        return all(map(face.__and__, self.cols))
 
 
 COLS_SLICE = 1024  # rows and bits per block of ``transpose``, bounding its peak

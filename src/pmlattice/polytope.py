@@ -6,9 +6,10 @@ deduplicate at desk scale.  Faces intersect by ``&``, and face ``a`` lies
 in face ``b`` when ``not a & ~b``.  Masks, incidence rows and crossing
 counts come from the graph's table, ``matchings.matching_table``, and
 every bit-matrix transpose from ``matchings.transpose``; the face of every
-canonical nontrivial odd shore is computed once per graph (``shore_faces``)
-and every odd-shore scan reads it, each scan behind the one gate,
-``matchings.scan_table`` (matching-covered, then the vertex cap).
+canonical nontrivial odd shore is computed once per graph, as far as it
+is read (``shore_faces``), and every odd-shore scan reads it, each scan
+behind the one gate, ``matchings.scan_table`` (matching-covered, then the
+vertex cap).
 
 The facial structure is read from face masks through three identities,
 with no rank:
@@ -30,26 +31,40 @@ with no rank:
   Lecture 2), so the intersection of two facets is a (d-2)-face exactly
   when no third facet holds it.
 
-Dimension is computed by rank only where a dimension is reported or
-verified.  dim P(G) (``polytope_dim``) is read from its certificate,
-``decomposition.spanning_matchings``; a face's dimension (``members_dim``,
-memoized on the mask) is the rank of its rows, for the dimensions that
-``classify_cut`` and ``classify_all_cuts`` report and for P-BRICKCOUNT,
-P-NEARBRICK and P-LEMMA-COUNT; every facet test reads ``facet_masks``.  A
-BvN graph's points of kP are sums of k perfect matchings (``idp_decompose``).
+A face's dimension (``members_dim``, memoized on the mask) is certified
+from two bounds: the GF(2) rank of its matchings' masks from below, and
+from above the least of its member count, a cap the caller knows (d - 1
+for a proper face of P, d - 2 below a facet) and, for a cut's face, the
+ranks of the stars of the cut's two contractions of its support
+(``_cut_face_bound``); a rational ``Echelon`` reads its rows only where
+they disagree, which happens mostly on graphs with a Petersen brick.  It
+gives the dimensions that ``classify_cut`` and ``classify_all_cuts``
+report, through one classification walk (``_classes``) that
+``CutClassRows`` renders for ``cuts classify``, and the dimensions that
+P-BRICKCOUNT, P-NEARBRICK and P-LEMMA-COUNT check.  One lazy walk
+(``_facet_walk``) tests the separating shores' faces against d - 1 in
+canonical order: ``separating_facet_defining_cuts`` lists it, ``is_bvn``
+stops at its first cut and ``basis`` filters it.  dim P(G)
+(``polytope_dim``) is read from its certificate,
+``decomposition.spanning_matchings``.  A BvN graph's points of kP are
+sums of k perfect matchings (``idp_decompose``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+import threading
+from collections import namedtuple
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .decomposition import spanning_matchings
 from .errors import DEFAULT_VERTEX_CAP, PreconditionViolated, TheoremFalsified
 from .graph import (Cut, MultiGraph, _check_cut, _proper_shore, boundary, make_cut, odd_shores,
                     per_graph, shore_complement)
-from .linalg import rank
-from .matchings import (MatchingTable, PerfectMatching, enumerate_perfect_matchings,
-                        matching_table, require_matching_covered, scan_table, transpose)
+from .linalg import Echelon
+from .matchings import (MatchingTable, PerfectMatching, edge_id_text,
+                        enumerate_perfect_matchings, matching_table, require_matching_covered,
+                        scan_table, spread, transpose)
 
 
 def _bits(mask: int) -> list[int]:
@@ -85,6 +100,61 @@ class Face(NamedTuple):
         return frozenset(self.key())
 
 
+_BYTE_BITS = [()]  # entry v: the set bits of the byte v, ascending
+for _b in range(8):
+    _BYTE_BITS += [bits + (_b,) for bits in _BYTE_BITS]
+
+
+class FaceMembers:
+    """The member indices of one face mask, ascending (``Face.key``), for a
+    report: iterating gives them, and ``json_chunks`` gives their JSON text
+    at indent ``pad``, as ``json.dumps`` nests the list, with no int or str
+    built per member.  Each byte of the mask is rendered from the texts of
+    its 8 matchings, built once per indent and shared by every face of one
+    report (``member_lists``)."""
+
+    __slots__ = ("mask", "_texts")
+
+    def __init__(self, mask: int, texts: dict[str, tuple[list[list[str]], list[str]]]):
+        self.mask, self._texts = mask, texts
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(_bits(self.mask))
+
+    def json_chunks(self, pad: str) -> Iterator[str]:
+        blocks, full = self._texts[pad]
+        parts = []
+        for k, byte in enumerate(self.mask.to_bytes(len(blocks), "little")):
+            if byte == 255:
+                parts.append(full[k])
+            elif byte:
+                parts.append("".join(map(blocks[k].__getitem__, _BYTE_BITS[byte])))
+        body = "".join(parts)
+        yield f"[{body[1:]}{pad}]" if body else "[]"
+
+
+class _MemberTexts(dict):
+    """Per indent, the texts ``,{leaf}{i}`` of matchings 0..width-1 in
+    blocks of 8, and each block joined whole."""
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, pad: str) -> tuple[list[list[str]], list[str]]:
+        leaf = pad + "  "
+        texts = [f",{leaf}{i}" for i in range(self.width)]
+        blocks = [texts[k:k + 8] for k in range(0, self.width, 8)]
+        self[pad] = blocks, ["".join(b) for b in blocks]
+        return self[pad]
+
+
+def member_lists(g: MultiGraph) -> Callable[[int], FaceMembers]:
+    """The ``FaceMembers`` of face masks of g, sharing their texts."""
+    texts = _MemberTexts(len(matching_table(g).masks))
+    return lambda mask: FaceMembers(mask, texts)
+
+
 class CutClass(NamedTuple):
     cut: Cut
     is_tight: bool
@@ -99,23 +169,195 @@ def polytope_dim(g: MultiGraph) -> int:
     return len(spanning_matchings(g)) - 1
 
 
+# ``members_dim.rank_info()``, in the shape of ``cache_info()``: dimensions
+# answered where the bounds met, and those the rational echelon decided
+RankInfo = namedtuple("RankInfo", "certified fallbacks")
+
+
+def _gf2_rank(rows: Iterable[int], target: int) -> int:
+    """Rank over GF(2) of bit-vector rows, read until it reaches ``target``:
+    an XOR basis keyed by each kept row's top bit."""
+    basis: dict[int, int] = {}
+    for r in rows:
+        while r:
+            top = r.bit_length() - 1
+            if top not in basis:
+                basis[top] = r
+                if len(basis) == target:
+                    return target
+                break
+            r ^= basis[top]
+    return len(basis)
+
+
 @per_graph
-def members_dim(g: MultiGraph, face: int) -> int:
-    """Affine dimension of the face with mask ``face``: one less than the
-    rank of its matching rows, which lie off the origin in the affine
-    hyperplane x(delta(v)) = 1."""
-    if face.bit_count() <= 2:  # no, one or two distinct points
-        return face.bit_count() - 1
+def _bit_ends(g: MultiGraph) -> tuple[tuple[int, int], ...]:
+    """The end vertices of the edge of each table bit."""
+    ends = [(0, 0)] * len(g.edges)
+    for b, (_, u, v) in zip(matching_table(g).row_bits, g.edges):
+        ends[b] = (u, v)
+    return tuple(ends)
+
+
+def _cut_face_bound(g: MultiGraph, t: MatchingTable, face: int, shore: Iterable[int]) -> int:
+    """An upper bound on the dimension of a set of matchings (mask
+    ``face``) that each meet delta(X), X = ``shore``, once: |E_F| - |V| - 1
+    + b1 + b2, where E_F is the edges they use and b1, b2 count the
+    bipartite components of the two cut-contractions H1, H2 of (V, E_F).
+
+    Restricted to E(H_i) a matching is a perfect matching of H_i, so those
+    rows span at most |E(H_i)| - r_i + 1 dimensions, r_i = |V(H_i)| - b_i
+    being the rank of H_i's stars.  Each row is the pair of its
+    restrictions, which agree on the cut's edges of E_F, and each of those
+    edges is used by a row, so the rank is at most the sum of the two less
+    |C cap E_F|.  The stars of H1 and H2 span those of (V, E_F) and C, and
+    share C, so this is never above G2 = |E_F| + 1 - rank(stars and C on
+    E_F), less one.  H1 and H2 are walked as one graph on |V| + 2
+    vertices: V, the contracted complement of X (|V|) and the contracted
+    X (|V| + 1)."""
+    ends, n = _bit_ends(g), g.vertex_count
+    inside = sum(1 << v for v in shore)
+    adj: list[list[int]] = [[] for _ in range(n + 2)]
+    used = 0
+    for b, col in enumerate(t.cols):
+        if col & face:
+            used += 1
+            u, v = ends[b]
+            if (inside >> u ^ inside >> v) & 1:  # a cut edge: one end in each contraction
+                if inside >> v & 1:
+                    u, v = v, u
+                adj[u].append(n)
+                adj[n].append(u)
+                u = n + 1
+            adj[u].append(v)
+            adj[v].append(u)
+    side = [0] * (n + 2)
+    bipartite = 0
+    for root in range(n + 2):
+        if side[root]:
+            continue
+        side[root], stack, odd = 1, [root], False
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if not side[v]:
+                    side[v] = -side[u]
+                    stack.append(v)
+                elif side[v] == side[u]:
+                    odd = True
+        bipartite += not odd
+    return used - n - 1 + bipartite
+
+
+def _member_rows(t: MatchingTable, face: int, count: int, target: int) -> Iterator[int]:
+    """The masks of the face's ``count`` members in a spread order, for a
+    rank read until it reaches ``target``: first, where probing costs less
+    than listing the members, the members that about 4 * ``target`` probes
+    of the table's spread order meet, then every member in the
+    ``spread_order`` of the member list.  A row read twice does not change
+    a rank, and a large face is seldom listed."""
+    n = len(t.masks)
+    probes = 4 * target * n // count
+    if probes < count:
+        data = face.to_bytes((n + 7) // 8, "little")
+        yield from (t.masks[p] for p in islice(spread(n), probes) if data[p >> 3] >> (p & 7) & 1)
+    members = _bits(face)
+    yield from (t.masks[members[i]] for i in spread(count))
+
+
+_ranked = [0, 0]  # certified, fallbacks
+
+
+@per_graph
+def members_dim(g: MultiGraph, face: int, *, cap: int | None = None,
+                shore: Iterable[int] | None = None) -> int:
+    """Affine dimension of the face with mask ``face``, certified from two
+    bounds and memoized on the mask alone; the rows of its matchings lie
+    off the origin in the affine hyperplane x(delta(v)) = 1, so it is one
+    less than their rank.
+
+    The lower bound is their rank over GF(2) (a minor that is odd is
+    nonzero), read in a spread order (``_member_rows``) until it reaches
+    the upper bound.
+    The upper bound is the least of the member count less one, ``cap``
+    and, given a ``shore`` X whose cut every member meets once,
+    ``_cut_face_bound``.  The hints must hold: ``cap`` bounds the
+    dimension of a proper face (d - 1 below P, d - 2 below a facet).
+    Only where the bounds disagree does a rational ``Echelon`` read the
+    rows, in the same order, up to the upper bound.  The GF(2) rank falls
+    short mostly on graphs with a Petersen brick, the only ones whose
+    matching lattice is not lin(P) cap Z^E (Lovasz 1987; Carvalho,
+    Lucchesi and Murty 2002); ``members_dim.rank_info()`` counts the
+    answers each way."""
+    count = face.bit_count()
+    top = count - 1 if cap is None else min(count - 1, cap)
+    if top <= 1:  # at most two members, or a cap that two distinct points meet
+        _ranked[0] += 1
+        return top
     t = matching_table(g)
-    return rank([t.row(t.masks[i]) for i in _bits(face)]) - 1
+    low = _gf2_rank(_member_rows(t, face, count, top + 1), top + 1) - 1
+    if low < top and shore is not None:
+        top = min(top, _cut_face_bound(g, t, face, shore))
+    if low == top:
+        _ranked[0] += 1
+        return low
+    _ranked[1] += 1
+    ech = Echelon(len(g.edges))
+    ech.extend(map(t.row, _member_rows(t, face, count, top + 1)), top + 1)
+    return ech.rank - 1
+
+
+members_dim.rank_info = lambda: RankInfo(*_ranked)
+
+
+class _Scan:
+    """A memoized scan read lazily: the items of ``make()``, each computed
+    once and kept, as far as any reader has gone, so a reader that stops
+    early pays for the prefix it read (at most twice what it read: the
+    prefix is extended by as many items as it holds).  After an exception
+    the scan resumes where it stood."""
+
+    __slots__ = ("_make", "_items", "_rest", "_lock")
+
+    def __init__(self, make: Callable[[], Iterator]):
+        self._make, self._items, self._rest = make, [], make()
+        self._lock = threading.RLock()
+
+    def __iter__(self) -> Iterator:
+        return iter(self._items) if self._rest is None else self._read()
+
+    def _read(self) -> Iterator:
+        items, i = self._items, 0
+        while i < len(items) or self._extend(i):
+            yield items[i]
+            i += 1
+
+    def _extend(self, i: int) -> bool:
+        """Whether item ``i`` exists, extending the prefix if needed."""
+        with self._lock:
+            items = self._items
+            if i < len(items):
+                return True
+            if self._rest is None:
+                return False
+            try:
+                items.extend(islice(self._rest, max(1, len(items))))
+            except BaseException:
+                self._rest = islice(self._make(), len(items), None)
+                raise
+            if i < len(items):
+                return True
+            self._rest = None
+            return False
 
 
 @per_graph
-def shore_faces(g: MultiGraph) -> tuple[tuple[tuple[int, ...], int], ...]:
+def shore_faces(g: MultiGraph) -> _Scan:
     """(shore, face mask of its cut) for every canonical nontrivial odd
-    shore, in ``odd_shores`` order: the one odd-shore face scan."""
+    shore, in ``odd_shores`` order: the one odd-shore face scan, computed
+    as far as it is read."""
     t = matching_table(g)
-    return tuple((shore, t.face(t.cut_mask(shore))) for shore in odd_shores(g))
+    return _Scan(lambda: ((shore, t.face(t.cut_mask(shore))) for shore in odd_shores(g)))
 
 
 def _separates(t: MatchingTable, face: int) -> bool:
@@ -211,13 +453,18 @@ def facet_incidence(g: MultiGraph) -> tuple[int, ...]:
     return tuple(transpose(list(facet_masks(g)), len(matching_table(g).masks)))
 
 
-def _cut_class(t: MatchingTable, cut: Cut, face: int, fdim: int, d: int) -> CutClass:
-    tight = face == t.all_matchings
+def _cut_face_class(g: MultiGraph, t: MatchingTable, d: int, shore: tuple[int, ...],
+                    face: int) -> tuple[bool, int]:
+    """(separating, face dim) of delta(shore), whose face mask is ``face``:
+    a tight cut's face is P, of dimension d, and any other face is proper,
+    so ``members_dim`` takes d - 1 as its cap."""
     sep = _separates(t, face)
-    if tight and not sep:
+    if face != t.all_matchings:
+        return sep, members_dim(g, face, cap=d - 1, shore=shore)
+    if not sep:
         raise TheoremFalsified("tight cuts are separating", {
-            "shore": list(cut.shore), "boundary": sorted(cut.boundary)})
-    return CutClass(cut, tight, sep, fdim == d - 1, Face(face, fdim, exposed_by_cuts=(cut,)))
+            "shore": list(shore), "boundary": sorted(t.ids[b] for b in _bits(t.cut_mask(shore)))})
+    return sep, d
 
 
 def classify_cut(g: MultiGraph, x: Iterable[int]) -> CutClass:
@@ -233,7 +480,8 @@ def classify_cut(g: MultiGraph, x: Iterable[int]) -> CutClass:
     cut = make_cut(g, vs)
     t = matching_table(g)
     face = t.face(t.edge_mask(cut.boundary))
-    return _cut_class(t, cut, face, members_dim(g, face), d)
+    sep, fdim = _cut_face_class(g, t, d, cut.shore, face)
+    return CutClass(cut, fdim == d, sep, fdim == d - 1, Face(face, fdim, exposed_by_cuts=(cut,)))
 
 
 def separating_cuts(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Cut]:
@@ -244,17 +492,40 @@ def separating_cuts(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> li
 
 def _facet_shores(g: MultiGraph) -> list[tuple[tuple[int, ...], int]]:
     """(shore, face mask) for every canonical nontrivial odd shore whose
-    cut face is a facet, in canonical shore order.  The one facet-shore
-    scan: callers pass the gate, ``matchings.scan_table``, first."""
+    cut face is a facet, in canonical shore order, by maximality
+    (``facet_masks``): callers pass the gate, ``matchings.scan_table``, first."""
     polytope_dim(g)  # the brick-count cross-check
     facets = facet_masks(g)
     return [(shore, face) for shore, face in shore_faces(g) if face in facets]
 
 
+@per_graph
+def _facet_walk(g: MultiGraph) -> _Scan:
+    """The separating cuts whose face is a facet, in canonical shore order,
+    found as far as they are read: each separating shore's face, unless it
+    is P, is a facet iff ``members_dim`` with cap d - 1 is d - 1.  The one
+    separating-facet walk: ``separating_facet_defining_cuts`` lists it,
+    ``is_bvn`` reads its first cut and ``basis._three_crossing_pairs``
+    filters it; callers pass the gate, ``matchings.scan_table``, first."""
+    t = matching_table(g)
+    d = polytope_dim(g)  # the brick-count cross-check, before any cut is read
+
+    def walk() -> Iterator[Cut]:
+        for shore, face in shore_faces(g):
+            if face != t.all_matchings and _separates(t, face) \
+                    and members_dim(g, face, cap=d - 1, shore=shore) == d - 1:
+                yield _shore_cut(g, t, shore)
+
+    return _Scan(walk)
+
+
 def is_bvn(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> tuple[bool, Cut | None]:
-    """Birkhoff-von-Neumann test; returns a separating facet-defining
-    witness cut on failure (first in canonical shore order)."""
-    witness = next(iter(separating_facet_defining_cuts(g, max_vertices)), None)
+    """Birkhoff-von-Neumann test: G is BvN iff no separating cut's face is
+    a facet.  On failure the witness is the first such cut in canonical
+    shore order, the first cut of the walk (``_facet_walk``), which stops
+    there."""
+    scan_table(g, max_vertices)
+    witness = next(iter(_facet_walk(g)), None)
     return witness is None, witness
 
 
@@ -304,9 +575,10 @@ def idp_decompose(g: MultiGraph, x: Mapping[int, int], k: int) -> list[PerfectMa
 
 def separating_facet_defining_cuts(g: MultiGraph,
                                    max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Cut]:
-    """Separating cuts whose face is a facet, in canonical shore order."""
-    t = scan_table(g, max_vertices)
-    return [_shore_cut(g, t, shore) for shore, face in _facet_shores(g) if _separates(t, face)]
+    """Separating cuts whose face is a facet, in canonical shore order: the
+    whole facet walk (``_facet_walk``)."""
+    scan_table(g, max_vertices)
+    return list(_facet_walk(g))
 
 
 def facet_cuts(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Cut]:
@@ -315,18 +587,75 @@ def facet_cuts(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Cu
     return [_shore_cut(g, t, shore) for shore, _ in _facet_shores(g)]
 
 
+def _classes(g: MultiGraph, t: MatchingTable, d: int) \
+        -> Iterator[tuple[tuple[int, ...], int, int, bool, int]]:
+    """(shore, cut edge mask, face mask, separating, face dim) for every
+    shore of ``shore_faces``, in its order: the one classification walk of
+    ``classify_all_cuts`` and ``CutClassRows``.  The cut is tight iff the
+    face dim is d, and facet-defining iff it is d - 1."""
+    for shore, face in shore_faces(g):
+        cut = t.cut_mask(shore)
+        yield (shore, cut, face, *_cut_face_class(g, t, d, shore, face))
+
+
 def classify_all_cuts(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[CutClass]:
-    """classify_cut over every canonical nontrivial odd shore, scan order.
-    dim P(G) is computed once, and a face is ranked only when it is
-    neither a facet (d-1) nor P (d)."""
+    """classify_cut over every canonical nontrivial odd shore, scan order,
+    with dim P(G) computed once."""
     t = scan_table(g, max_vertices)
     d = polytope_dim(g)
-    facets = facet_masks(g)
     out = []
-    for shore, face in shore_faces(g):
-        fdim = d - 1 if face in facets else d if face == t.all_matchings else members_dim(g, face)
-        out.append(_cut_class(t, _shore_cut(g, t, shore), face, fdim, d))
+    for shore, _, face, sep, fdim in _classes(g, t, d):
+        cut = _shore_cut(g, t, shore)
+        out.append(CutClass(cut, fdim == d, sep, fdim == d - 1,
+                            Face(face, fdim, exposed_by_cuts=(cut,))))
     return out
+
+
+_FALSE_TRUE = ("false", "true")
+
+
+class CutClassRows:
+    """The rows of ``cuts classify``: per canonical nontrivial odd shore,
+    the dict {"shore", "boundary", "tight", "separating", "facet_defining",
+    "face_dim"} of its ``classify_all_cuts`` entry, read from the one
+    classification walk (``_classes``) with no Cut, Face or CutClass.
+    Iterating gives the dicts; ``json_chunks`` gives their JSON text, as
+    ``json.dumps(list(rows), indent=2)`` nests it, 256 rows per chunk,
+    each boundary rendered by ``matchings.edge_id_text``.  The gate, dim P
+    and the whole face scan run when the rows are made."""
+
+    def __init__(self, g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP):
+        self._g, self._t = g, scan_table(g, max_vertices)
+        self._d = polytope_dim(g)
+        for _ in shore_faces(g):  # so that a scan too big fails before anything is written
+            pass
+
+    def __iter__(self) -> Iterator[dict]:
+        t, d = self._t, self._d
+        for shore, cut, _, sep, fdim in _classes(self._g, t, d):
+            yield {"shore": list(shore), "boundary": sorted(t.ids[b] for b in _bits(cut)),
+                   "tight": fdim == d, "separating": sep, "facet_defining": fdim == d - 1,
+                   "face_dim": fdim}
+
+    def json_chunks(self, pad: str) -> Iterator[str]:
+        inner = pad + "  "
+        key = inner + "  "
+        leaf = key + "  "
+        ids = edge_id_text(self._g, leaf)
+        vertex = [f",{leaf}{v}" for v in range(self._g.vertex_count)]
+        d, chunk, sep = self._d, [], "[" + inner
+        for shore, cut, _, separating, fdim in _classes(self._g, self._t, d):
+            chunk.append(
+                f'{sep}{{{key}"shore": [{"".join(map(vertex.__getitem__, shore))[1:]}{key}],'
+                f'{key}"boundary": [{ids(cut)[1:]}{key}],{key}"tight": {_FALSE_TRUE[fdim == d]},'
+                f'{key}"separating": {_FALSE_TRUE[separating]},'
+                f'{key}"facet_defining": {_FALSE_TRUE[fdim == d - 1]},'
+                f'{key}"face_dim": {fdim}{inner}}}')
+            sep = "," + inner
+            if len(chunk) == 256:
+                yield "".join(chunk)
+                chunk = []
+        yield "".join(chunk) + ("[]" if sep[0] == "[" else pad + "]")
 
 
 def enumerate_facets(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[Face]:

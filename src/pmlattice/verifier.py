@@ -111,8 +111,10 @@ def _p_brickcount(g: MultiGraph, cap: int) -> tuple[str, dict]:
     d = polytope_dim(g)
     b = brick_count(g)
     cuts = separating_cuts(g, cap)
+    t = matching_table(g)
     for cut, face in _with_faces(g, cuts):
-        codim = d - members_dim(g, face)
+        codim = 0 if face == t.all_matchings else \
+            d - members_dim(g, face, cap=d - 1, shore=cut.shore)
         ks, kc = cut_contractions(g, cut.shore_set)
         if brick_count(ks) + brick_count(kc) != b + codim:
             return "fail", {"shore": list(cut.shore), "codim": codim,
@@ -123,8 +125,10 @@ def _p_brickcount(g: MultiGraph, cap: int) -> tuple[str, dict]:
 def _p_nearbrick(g: MultiGraph, cap: int) -> tuple[str, dict]:
     d = polytope_dim(g)
     cuts = separating_cuts(g, cap)
+    t = matching_table(g)
     for cut, face in _with_faces(g, cuts):
-        fdi = members_dim(g, face) == d - 1
+        fdi = face != t.all_matchings \
+            and members_dim(g, face, cap=d - 1, shore=cut.shore) == d - 1
         ks, kc = cut_contractions(g, cut.shore_set)
         both_nb = brick_count(ks) == 1 and brick_count(kc) == 1
         if fdi != both_nb:
@@ -287,9 +291,10 @@ def _p_lemma_count(g: MultiGraph, cap: int) -> tuple[str, dict]:
         i, j = (owners & -owners).bit_length() - 1, owners.bit_length() - 1
         partners[i] |= 1 << j
         partners[j] |= 1 << i
-    # facets and codim-2 faces are found without rank; rank confirms them
+    # facets and codim-2 faces are found without rank; rank confirms them, up
+    # to the cap that a proper face of P (of a facet) has: d - 1 (d - 2)
     for face, want in [(fc, d - 1) for fc in facets] + [(r, d - 2) for r in codim2]:
-        got = members_dim(g, face.mask)
+        got = members_dim(g, face.mask, cap=want)
         if got != want:
             return "fail", {"reason": "face dimension by rank", "members": list(face.key()),
                             "dim": got, "expected": want}

@@ -110,10 +110,12 @@ def test_cap_check_has_one_caller():
 
 def test_rank_runs_only_where_a_dimension_is_reported_or_checked():
     """``members_dim`` is called only where a face dimension is reported
-    (``classify_cut``, ``classify_all_cuts``) or a property checks one by
+    (``_cut_face_class``, behind ``classify_cut``, ``classify_all_cuts`` and
+    ``cuts classify``), where the separating-facet walk tests a face
+    (``_facet_walk``, behind ``is_bvn``), or where a property checks one by
     rank; every other facet question reads ``facet_masks``."""
     assert set(_callers("members_dim")) == {
-        "polytope.classify_cut", "polytope.classify_all_cuts", "verifier._p_brickcount",
+        "polytope._cut_face_class", "polytope._facet_walk", "verifier._p_brickcount",
         "verifier._p_nearbrick", "verifier._p_lemma_count"}
 
 

@@ -475,3 +475,163 @@ def test_k12_facets_peak_in_little_memory():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def _petersen_expanded() -> MultiGraph:
+    """Petersen with vertex 0 split into the path 0 - 10 - 11, 0 keeping
+    neighbour 1 and 11 taking 4 and 5: its tight cut around {0, 10, 11}
+    leaves a brace and a Petersen brick."""
+    from pmlattice.graph import PETERSEN_PAIRS
+
+    pairs = [p for p in PETERSEN_PAIRS if p not in ((0, 4), (0, 5))]
+    return MultiGraph.from_pairs(12, pairs + [(11, 4), (11, 5), (0, 10), (10, 11)])
+
+
+def _certified_graphs(corpus) -> dict[str, MultiGraph]:
+    """The corpus, seeded random graphs on 6-14 vertices and Petersen with
+    one vertex expanded."""
+    graphs = dict(corpus)
+    for args in ((1, 6, 2), (4, 8, 2), (9, 10, 3), (8, 12, 3), (2, 12, 2), (5, 14, 2)):
+        name, graphs[name] = random_matching_covered(*args)
+    graphs["petersen-expanded"] = _petersen_expanded()
+    return graphs
+
+
+def test_certified_dimensions_match_the_rational_oracle(corpus):
+    """Every face dimension that ``classify_all_cuts`` reports, and that of
+    every facet and ridge with the cap P-LEMMA-COUNT gives it, equals the
+    rational oracle, each computed from a fresh memo."""
+    from pmlattice import graph
+
+    for name, g in _certified_graphs(corpus).items():
+        rows, d = matching_rows(g), polytope_dim(g)
+        oracle: dict[int, int] = {}
+
+        def want(face: int) -> int:
+            if face not in oracle:
+                oracle[face] = oracle_affine_dim([r for i, r in enumerate(rows) if face >> i & 1])
+            return oracle[face]
+
+        graph._memo.cache_clear()
+        for c in classify_all_cuts(g):
+            assert c.face.dim == want(c.face.mask), (name, c.cut.shore)
+        facets, ridges = enumerate_facets(g), enumerate_codim2_faces(g)
+        graph._memo.cache_clear()
+        for f in facets:
+            assert members_dim(g, f.mask, cap=d - 1) == want(f.mask) == d - 1, name
+        for r in ridges:
+            assert members_dim(g, r.mask, cap=d - 2) == want(r.mask) == d - 2, name
+
+
+def test_rank_info_counts_certified_answers_and_fallbacks(corpus):
+    """``members_dim.rank_info()`` counts the dimensions the bounds certify
+    and those the rational echelon decides.  The GF(2) rank falls short on
+    graphs with a Petersen brick, so their ``classify_all_cuts`` falls
+    back; on random-v12-s8 it meets the rational rank on every face, and
+    the one fallback is the face of (0, 3, 7, 8, 10), whose upper bound is
+    one too high (a cut-contraction of its support has two bricks)."""
+    from pmlattice import graph
+
+    def counts(g):
+        graph._memo.cache_clear()
+        before = members_dim.rank_info()
+        classify_all_cuts(g)
+        after = members_dim.rank_info()
+        return after.certified - before.certified, after.fallbacks - before.fallbacks
+
+    assert counts(corpus["pete-k4-splice"]) == (247, 46)
+    assert counts(corpus["petersen-parallel"]) == (37, 6)
+    assert counts(corpus["cube"]) == (25, 0)
+    assert counts(random_matching_covered(8, 12, 3)[1]) == (302, 1)
+
+
+@st.composite
+def _cut_face_subsets(draw):
+    """A random graph (``_random_graphs_with_doubled_edges``), one of its
+    odd shores with a nonempty face, and a nonempty set of that face's
+    members."""
+    g = draw(_random_graphs_with_doubled_edges())
+    t = matching_table(g)
+    shores = [s for s in odd_shores(g) if t.face(t.cut_mask(s))]
+    if not shores:
+        shores = [(0,)]  # a star: every matching meets it once
+    shore = draw(st.sampled_from(shores))
+    face = t.face(t.cut_mask(shore))
+    return g, shore, face & draw(st.integers(1, 2**64)) or face
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cut_face_subsets())
+def test_cut_face_bound_is_never_below_the_rational_dimension(case):
+    """The combinatorial upper bound holds for any set of matchings that
+    each meet the cut once, so for any subset of a cut's face; with it as
+    a hint, ``members_dim`` is the rational dimension."""
+    from pmlattice.polytope import _cut_face_bound
+
+    g, shore, sub = case
+    rows = matching_rows(g)
+    want = oracle_affine_dim([r for i, r in enumerate(rows) if sub >> i & 1])
+    assert _cut_face_bound(g, matching_table(g), sub, shore) >= want
+    assert members_dim(g, sub, shore=shore) == want
+
+
+def test_separating_facet_walk_matches_the_facet_masks_definition(corpus):
+    """``separating_facet_defining_cuts`` lists, and ``is_bvn`` reads first,
+    the separating cuts whose face is a facet by maximality
+    (``facet_masks``), on the corpus and on 40 seeded random graphs on
+    6-12 vertices, BvN ones included."""
+    graphs = list(corpus.values()) + [
+        random_matching_covered(seed, 2 * (3 + seed % 4), 1 + seed % 3)[1] for seed in range(40)]
+    bvn = 0
+    for g in graphs:
+        t = matching_table(g)
+        want = [make_cut(g, shore) for shore in odd_shores(g)
+                if oracle_is_separating(g, shore) and t.face(t.cut_mask(shore)) in facet_masks(g)]
+        assert separating_facet_defining_cuts(g) == want
+        assert is_bvn(g) == (not want, want[0] if want else None)
+        bvn += not want
+    assert 0 < bvn < len(graphs)
+
+
+def test_bvn_stops_at_its_first_witness(monkeypatch):
+    """``is_bvn`` reads the odd-shore faces only up to its witness: on K12
+    one face against 1,012 for the whole scan; ``intersect`` on K10 reads
+    one face for its first pair."""
+    from pmlattice.basis import find_intersection_pair
+    from pmlattice.matchings import MatchingTable
+
+    real, faces = MatchingTable.face, []
+    monkeypatch.setattr(MatchingTable, "face", lambda t, cut: faces.append(cut) or real(t, cut))
+    g = _complete(12, 10000)
+    assert is_bvn(g) == (False, make_cut(g, (0, 1, 2)))
+    assert len(faces) == 1
+    separating_cuts(g)
+    assert len(faces) == 1012
+    faces.clear()
+    h = _complete(10, 11000)
+    assert find_intersection_pair(h).cut == make_cut(h, (0, 1, 2))
+    assert len(faces) == 1
+
+
+def test_shore_faces_resume_after_an_exception(monkeypatch):
+    """A face scan that an exception interrupts keeps what it had read and
+    resumes where it stood: read again, it equals the scan of a fresh memo."""
+    from pmlattice.matchings import MatchingTable
+    from pmlattice.polytope import shore_faces
+
+    g = random_matching_covered(3, 10, 3)[1]
+    t = matching_table(g)
+    want = [(shore, row_major_face(t, t.cut_mask(shore))) for shore in odd_shores(g)]
+    real, calls = MatchingTable.face, []
+
+    def flaky(table, cut):
+        calls.append(cut)
+        if len(calls) == 20:
+            raise MemoryError
+        return real(table, cut)
+
+    monkeypatch.setattr(MatchingTable, "face", flaky)
+    with pytest.raises(MemoryError):
+        list(shore_faces(g))
+    assert list(itertools.islice(shore_faces(g), 5)) == want[:5]
+    assert list(shore_faces(g)) == want

@@ -116,15 +116,17 @@ def test_p_fdilift_reads_each_lifted_cut_face_once(corpus, monkeypatch):
 ])
 def test_facet_questions_rank_nothing(corpus, pid, name, cert):
     """P-BVNCONTRACT counts the facets of a face, and P-FDILIFT tests a
-    lifted cut's face, by ``facet_masks``: from a fresh memo, no graph they
-    touch has a face ranked."""
+    lifted cut's face, by ``facet_masks``: from a fresh memo, no face of
+    the checked graph is ranked.  Only the cut-contractions' ``is_bvn``
+    certifies its facets by rank."""
     from pmlattice.polytope import members_dim
 
     graph._memo.cache_clear()
     with body_runs(members_dim) as runs:
         r = verify_property(corpus[name], pid, name)
     assert (r.status, r.certificate) == ("pass", cert)
-    assert not runs
+    assert runs[corpus[name]] == 0
+    assert all(h.vertex_count < corpus[name].vertex_count for h in runs)
 
 
 def test_p_lemma_count_petersen_numbers(corpus):
@@ -146,7 +148,7 @@ def test_p_lemma_count_fails_when_rank_disagrees(corpus, monkeypatch):
     ridge = enumerate_codim2_faces(g)[0]
     real = verifier.members_dim
     monkeypatch.setattr(verifier, "members_dim",
-                        lambda h, face: real(h, face) - (face == ridge.mask))
+                        lambda h, face, **hints: real(h, face, **hints) - (face == ridge.mask))
     r = verify_property(g, "P-LEMMA-COUNT", "petersen")
     assert r.status == "fail"
     assert r.certificate == {"reason": "face dimension by rank", "members": list(ridge.key()),
