@@ -17,13 +17,13 @@ debugging.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .decomposition import (DecompTree, brick_count, canonical_parity_cycle, find_tight_cut,
                             parity_sets, spanning_matchings, tight_cut_decomposition)
 from .errors import DEFAULT_VERTEX_CAP, PreconditionViolated, TheoremFalsified
-from .graph import (Cut, MultiGraph, _check_cut, boundary, cut_contractions, five_cycles,
-                    is_petersen, per_graph, simplify)
+from .graph import (Cut, MultiGraph, Record, _check_cut, boundary, cut_contractions,
+                    five_cycles, is_petersen, per_graph, simplify)
 from .linalg import (Echelon, Lattice, hnf, lattice_equal, lattice_index, lattice_member,
                      rank, saturation)
 from .matchings import (PerfectMatching, _is_perfect_matching_of,
@@ -36,7 +36,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-class Basis(NamedTuple):
+class Basis(Record):
     """An ordered list of matching incidence vectors forming a basis.
 
     ``kind`` records the strongest verified property: "linear" (a basis of
@@ -79,7 +79,7 @@ def pm_linear_basis(g: MultiGraph) -> Basis:
     return Basis(g, tuple(picked), "linear")
 
 
-class MergeContext(NamedTuple):
+class MergeContext(Record):
     """Everything needed to transfer coefficients through a merge."""
 
     graph: MultiGraph
@@ -92,7 +92,7 @@ class MergeContext(NamedTuple):
     elements: tuple[PerfectMatching, ...]  # the merged basis, in output order
 
 
-class MergeResult(NamedTuple):
+class MergeResult(Record):
     basis: Basis
     zstar: int | None
     context: MergeContext
@@ -350,7 +350,7 @@ def near_brick_petersen_basis(g: MultiGraph, d5: Cut | Iterable[int]) -> tuple[P
 # --- the 3-intersection search ---------------------------------------------
 
 
-class IntersectionPair(NamedTuple):
+class IntersectionPair(Record):
     matching: PerfectMatching
     cut: Cut
 
@@ -553,7 +553,7 @@ def lattice_basis(g: MultiGraph, max_vertices: int = DEFAULT_VERTEX_CAP) \
     return Basis(g, elements, "lattice"), tuple(parity_sets(g))
 
 
-class LatticeCharacterization(NamedTuple):
+class LatticeCharacterization(Record):
     """Outcome of comparing L(G) with the parity-constrained saturation."""
 
     matching_count: int

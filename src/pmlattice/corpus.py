@@ -4,14 +4,17 @@ the streaming JSON writer that GraphFiles and CLI reports share.
 Edge ids are load-bearing (vectors are indexed by id and survive
 contraction), so the file format spells out one edge object per parallel
 edge instead of an adjacency shorthand.
+
+JSON is read and written through ``_json``, the C module behind ``json``:
+importing ``json`` compiles regular expressions that only its pure-Python
+fallbacks use, so it is imported only to report a text that is not JSON.
 """
 
 from __future__ import annotations
 
-import json
 import random
+from _json import encode_basestring_ascii, make_scanner
 from collections.abc import Iterator
-from json.encoder import encode_basestring_ascii
 
 from .graph import PETERSEN_PAIRS, MultiGraph
 from .matchings import matching_covered
@@ -179,10 +182,43 @@ def _is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+class _Decoding:
+    """The settings of ``json.loads``' default decoder, for ``make_scanner``."""
+
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_int, parse_float = int, float
+    parse_constant = {"NaN": float("nan"), "Infinity": float("inf"),
+                      "-Infinity": float("-inf")}.__getitem__
+
+
+_scan = make_scanner(_Decoding)
+_JSON_SPACE = " \t\n\r"
+
+
+def _load_json(text: str):
+    """``json.loads(text)``, read by the scanner that ``json.loads`` uses.  A
+    text it does not read whole (a BOM, a syntax error, trailing data, nesting
+    past the recursion limit) goes to ``json.loads``, which raises its own
+    exception and message."""
+    start = len(text) - len(text.lstrip(_JSON_SPACE))
+    # StopIteration is "Expecting value", and a syntax error is SystemError
+    # until json.decoder, whose JSONDecodeError the scanner raises, is loaded
+    try:
+        obj, end = _scan(text, start)
+    except (StopIteration, ValueError, RecursionError, SystemError):
+        pass
+    else:
+        if not text[end:].strip(_JSON_SPACE):
+            return obj
+    import json
+    return json.loads(text)
+
+
 def parse_graph_file(text: str) -> tuple[str, MultiGraph]:
     """Parse and validate a GraphFile; raises ValueError on any violation."""
     try:
-        data = json.loads(text)
+        data = _load_json(text)
     except RecursionError:
         raise ValueError("GraphFile nests too deeply") from None
     if not isinstance(data, dict):

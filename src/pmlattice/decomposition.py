@@ -17,10 +17,9 @@ edge sets found in a leaf (such as Petersen 5-cycles) need no lifting.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
 
 from .errors import PreconditionViolated, TheoremFalsified
-from .graph import (Cut, MultiGraph, _check_cut, components_minus, contract_shore,
+from .graph import (Cut, MultiGraph, Record, _check_cut, components_minus, contract_shore,
                     cut_contractions, five_cycles, is_bipartite, is_petersen,
                     make_cut, per_graph, shore_complement, shore_index_map,
                     simplify)
@@ -28,7 +27,7 @@ from .linalg import Echelon
 from .matchings import matching_table, require_matching_covered, spread_order
 
 
-class DecompTree(NamedTuple):
+class DecompTree(Record):
     """Binary tight-cut decomposition tree rooted at a graph.
 
     Internal nodes carry the tight cut used; leaves carry a label in

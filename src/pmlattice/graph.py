@@ -5,7 +5,8 @@ every memoized result of the package (:func:`per_graph`).
 Edge identity is the primary key everywhere.  Contraction never renumbers
 surviving edges, which is what lets vectors indexed by edge id be composed
 across cut-contractions later on.  The package's records, ``Cut`` first, are
-``typing.NamedTuple``s with tuple semantics; ``MultiGraph`` validates its input.
+``Record``s: tuples with named fields, built when imported with no class
+synthesis; ``MultiGraph`` validates its input.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
-from typing import Callable, Iterable, Iterator, NamedTuple
+from operator import itemgetter
+from types import FunctionType
+from typing import Callable, Iterable, Iterator
 
 from .errors import PreconditionViolated
 
@@ -149,7 +152,66 @@ def boundary(g: MultiGraph, vertices: Iterable[int]) -> frozenset[int]:
     return frozenset(eid for eid, u, v in g.edges if (u in vs) != (v in vs))
 
 
-class Cut(NamedTuple):
+_tuple_new = tuple.__new__
+
+# One constructor body per field count.  A record's ``__new__`` is the body
+# of its count with the parameters renamed to its fields, so CPython binds
+# positional, keyword and default arguments and raises its own TypeErrors,
+# as fast as a NamedTuple's ``__new__`` and with no ``eval``.
+_CONSTRUCTORS = (
+    lambda _cls, a: _tuple_new(_cls, (a,)),
+    lambda _cls, a, b: _tuple_new(_cls, (a, b)),
+    lambda _cls, a, b, c: _tuple_new(_cls, (a, b, c)),
+    lambda _cls, a, b, c, d: _tuple_new(_cls, (a, b, c, d)),
+    lambda _cls, a, b, c, d, e: _tuple_new(_cls, (a, b, c, d, e)),
+    lambda _cls, a, b, c, d, e, f: _tuple_new(_cls, (a, b, c, d, e, f)),
+    lambda _cls, a, b, c, d, e, f, g: _tuple_new(_cls, (a, b, c, d, e, f, g)),
+    lambda _cls, a, b, c, d, e, f, g, h: _tuple_new(_cls, (a, b, c, d, e, f, g, h)),
+)
+
+
+class _RecordType(type):
+    """Makes a ``Record`` class from its body: the annotated names, in order,
+    are the fields (under ``from __future__ import annotations`` the
+    annotations are strings, never evaluated), and the values of the
+    trailing ones are their defaults."""
+
+    def __new__(mcls, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        if fields:
+            defaults = tuple(ns[f] for f in fields if f in ns)
+            if len(fields) > len(_CONSTRUCTORS) or \
+                    any(f not in ns for f in fields[len(fields) - len(defaults):]):
+                raise TypeError(f"{name}: at most {len(_CONSTRUCTORS)} fields, "
+                                "those with a default last")
+            body = _CONSTRUCTORS[len(fields) - 1]
+            new = FunctionType(body.__code__.replace(co_varnames=("_cls",) + fields),
+                               body.__globals__, "__new__", defaults or None)
+            new.__qualname__ = f"{name}.__new__"
+            ns.update({f: property(itemgetter(i)) for i, f in enumerate(fields)},
+                      __new__=new, _fields=fields)
+        ns["__slots__"] = ()
+        return super().__new__(mcls, name, bases, ns)
+
+
+class Record(tuple, metaclass=_RecordType):
+    """A tuple with named fields, declared like a ``typing.NamedTuple``:
+    equal to, and hashed as, the plain tuple of its values; immutable, with
+    no instance ``__dict__``; copied and pickled through its values."""
+
+    _fields = ()  # the field names, set by _RecordType
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self))})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+
+class Cut(Record):
     """An edge cut delta(X) with its canonical shore.
 
     The stored shore is the lexicographically smaller of X and its

@@ -30,13 +30,14 @@ in the graph's memo (``graph.per_graph``).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import PreconditionViolated, TheoremFalsified, check_cap
-from .graph import Cut, MultiGraph, _check_cut, cut_contractions, is_connected, per_graph
+from .graph import (Cut, MultiGraph, Record, _check_cut, cut_contractions, is_connected,
+                    per_graph)
 
 
-class PerfectMatching(NamedTuple):
+class PerfectMatching(Record):
     """A perfect matching as a set of edge ids; ``eid in m`` tests one edge.
 
     The sorted id tuple is the canonical sort key; sort with ``key=`` always,
@@ -218,7 +219,7 @@ def spread(n: int) -> Iterator[int]:
     return (i * step % n for i in range(n))
 
 
-class MatchingTable(NamedTuple):
+class MatchingTable(Record):
     """The perfect matchings of one graph as the masks of ``matching_masks``;
     every face query is answered from it.
 

@@ -53,14 +53,13 @@ sums of k perfect matchings (``idp_decompose``).
 from __future__ import annotations
 
 import threading
-from collections import namedtuple
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .decomposition import spanning_matchings
 from .errors import DEFAULT_VERTEX_CAP, PreconditionViolated, TheoremFalsified
-from .graph import (Cut, MultiGraph, _check_cut, _proper_shore, boundary, make_cut, odd_shores,
-                    per_graph, shore_complement)
+from .graph import (Cut, MultiGraph, Record, _check_cut, _proper_shore, boundary, make_cut,
+                    odd_shores, per_graph, shore_complement)
 from .linalg import Echelon
 from .matchings import (MatchingTable, PerfectMatching, edge_id_text,
                         enumerate_perfect_matchings, matching_table, require_matching_covered,
@@ -78,7 +77,7 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-class Face(NamedTuple):
+class Face(Record):
     """A face of P(G) as the mask of the matchings lying on it.
 
     ``dim`` is the exact affine dimension (-1 for the empty face);
@@ -155,7 +154,7 @@ def member_lists(g: MultiGraph) -> Callable[[int], FaceMembers]:
     return lambda mask: FaceMembers(mask, texts)
 
 
-class CutClass(NamedTuple):
+class CutClass(Record):
     cut: Cut
     is_tight: bool
     is_separating: bool
@@ -171,7 +170,9 @@ def polytope_dim(g: MultiGraph) -> int:
 
 # ``members_dim.rank_info()``, in the shape of ``cache_info()``: dimensions
 # answered where the bounds met, and those the rational echelon decided
-RankInfo = namedtuple("RankInfo", "certified fallbacks")
+class RankInfo(Record):
+    certified: int
+    fallbacks: int
 
 
 def _gf2_rank(rows: Iterable[int], target: int) -> int:
@@ -709,7 +710,7 @@ def cuts_equivalent(g: MultiGraph, c1: Cut, c2: Cut) -> bool:
     return all((m & b1).bit_count() == (m & b2).bit_count() for m in t.masks)
 
 
-class UncrossReport(NamedTuple):
+class UncrossReport(Record):
     no_edge_between_differences: bool
     identity_holds: bool
     violating_matchings: tuple[int, ...]

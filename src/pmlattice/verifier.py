@@ -9,14 +9,14 @@ concrete witness so a red property doubles as a refutation certificate.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .decomposition import (barrier_of_tight_cut, brick_count, is_near_brick, parity_sets,
                             tight_cut_decomposition, tight_shores)
 from .errors import (DEFAULT_TRIPLE_CAP, DEFAULT_VERTEX_CAP, PreconditionViolated,
                      TheoremFalsified, VertexCapExceeded)
-from .graph import (Cut, MultiGraph, contract_shore, cut_contractions, is_bipartite, make_cut,
-                    shore_complement, shore_index_map)
+from .graph import (Cut, MultiGraph, Record, contract_shore, cut_contractions, is_bipartite,
+                    make_cut, shore_complement, shore_index_map)
 from .linalg import lattice_member
 from .matchings import matching_covered, matching_table, require_matching_covered, scan_table
 from .polytope import (_separates, cuts_equivalent, edge_exposers, enumerate_codim2_faces,
@@ -25,7 +25,7 @@ from .polytope import (_separates, cuts_equivalent, edge_exposers, enumerate_cod
                        shore_faces, uncross)
 
 
-class PropertyReport(NamedTuple):
+class PropertyReport(Record):
     property_id: str
     graph_name: str
     status: str  # "pass" | "fail" | "skipped"

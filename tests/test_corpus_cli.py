@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import pmlattice
 from pmlattice import cli
 from pmlattice.cli import main
-from pmlattice.corpus import (CORPUS_NAMES, corpus_graph, dump_graph_file,
+from pmlattice.corpus import (CORPUS_NAMES, _load_json, corpus_graph, dump_graph_file,
                               graph_to_file_dict, parse_graph_file,
                               random_matching_covered, write_json)
 from pmlattice.graph import MultiGraph
@@ -171,14 +171,56 @@ def test_cli_verify(tmp_path, capsys):
     assert code == 0 and len(json.loads(out)["result"]["properties"]) == 1
 
 
+_MALFORMED_REPORT = """{
+  "schema": "pmlattice-report/1",
+  "tool": "pmlattice",
+  "version": "0.1.0",
+  "command": "pm count",
+  "graph": null,
+  "status": "error",
+  "result": {
+    "error": "JSONDecodeError",
+    "message": "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+  },
+  "warnings": [],
+  "timing_ms": null
+}
+"""
+
+
 def test_cli_malformed_input(tmp_path, capsys):
+    """A file that is not JSON is reported with json's own exception and
+    message."""
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     code, out = _run(["pm", "count", "--input", str(bad)], capsys)
-    assert code == 2
-    assert json.loads(out)["status"] == "error"
+    assert (code, out) == (2, _MALFORMED_REPORT)
     code, out = _run(["pm", "count"], capsys)  # missing --input
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"name": "x\x01"}', "[1,]", "\ufeff{}", "{} x"],
+                         ids=["syntax", "control-character", "trailing-comma", "bom", "trailing-data"])
+def test_cli_reads_graph_files_without_importing_json(tmp_path, capsys, text):
+    """A CLI process that imports the commands' modules and reads a good
+    GraphFile never imports ``json``; a malformed file brings it in, and is
+    reported as in a process that had loaded it before reading (json's C
+    scanner cannot raise its JSONDecodeError until ``json.decoder`` is
+    loaded)."""
+    good = tmp_path / "k4.json"
+    good.write_text(dump_graph_file("k4", corpus_graph("k4")))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for path, loaded in ((good, False), (bad, True)):
+        argv = ["pm", "count", "--input", str(path)]
+        proc = _fresh_python("-c", "import sys; import pmlattice.cli, pmlattice.verifier; "
+                                   "code = pmlattice.cli.main(sys.argv[1:]); "
+                                   "print('json' in sys.modules, file=sys.stderr); sys.exit(code)",
+                             *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            _in_process(argv, capsys)[:2] + (f"{loaded}\n",)
+    if text == "{not json":
+        assert proc.stdout == _MALFORMED_REPORT
 
 
 @pytest.mark.parametrize("edge, message", [
@@ -608,6 +650,76 @@ def test_report_writer_matches_json_dumps(doc):
     expected = json.dumps(doc, indent=2)
     assert _written(doc) == expected
     assert _written(_as_iterators(doc)) == expected
+
+
+def _read_as(read, text: str):
+    """What ``read(text)`` returns, by type and repr (NaN is not equal to
+    itself), or the type and message of what it raises."""
+    try:
+        value = read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+_SPACE = st.text(" \t\n\r", max_size=3)
+_EDGE = st.fixed_dictionaries({"id": st.integers(-1, 9), "u": st.integers(-1, 9),
+                               "v": st.integers(-1, 9) | _SCALARS})
+_GRAPH_DOCS = st.fixed_dictionaries(
+    {"name": st.text() | _SCALARS, "vertex_count": st.integers(-1, 12) | _SCALARS,
+     "edges": st.lists(_EDGE, max_size=5) | _DOCS},
+    optional={"extra": _DOCS})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GRAPH_DOCS, _SPACE, _SPACE, st.tuples(_SPACE, _SPACE, _SPACE, _SPACE),
+       st.none() | st.integers(0, 3) | _SPACE, st.data())
+def test_reader_matches_json_loads(doc, lead, trail, spaces, indent, data):
+    """``corpus._load_json`` reads what ``json.loads`` reads, the same way,
+    on ``json.dumps`` of GraphFile-shaped documents in any JSON whitespace,
+    and on each such text truncated, with one character replaced, and with
+    one inserted."""
+    item, key = spaces[0] + "," + spaces[1], spaces[2] + ":" + spaces[3]
+    text = lead + json.dumps(doc, indent=indent, separators=(item, key)) + trail
+    at = data.draw(st.integers(0, len(text)))
+    char = data.draw(st.sampled_from('{}[]",:-.0eE\\ \t\f\v\ufeffnNI') | st.characters())
+    for variant in (text, text[:at], text[:at] + char + text[at + 1:], text[:at] + char + text[at:]):
+        assert _read_as(_load_json, variant) == _read_as(json.loads, variant), variant
+
+
+_LONG_INT = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+_FIXED_TEXTS = {
+    "bom": '\ufeff{"name": "x"}',
+    "trailing-object": '{"name": "x"} {}',
+    "trailing-bracket": '{"name": "x"}\n]',
+    "form-feed-before": "\f{}",
+    "vertical-tab-after": "{}\v",
+    "form-feed-inside": '{"a":\f1}',
+    "vertical-tab-inside": '{"a": 1,\v"b": 2}',
+    "only-whitespace": " \t\n\r",
+    "empty": "",
+    "bare-word": "nul",
+    "single-quotes": "'x'",
+    "missing-colon": '{"a" 1}',
+    "trailing-comma": "[1,]",
+    "control-character": '{"a": "\x01"}',
+    "constants": "[NaN, Infinity, -Infinity, -0.0, 1e400, -nan]",
+    "long-int-field": '{"vertex_count": ' + _LONG_INT + "}",
+    "long-negative-int": "-" + _LONG_INT,
+    "lone-high-surrogate": '"\\ud800"',
+    "lone-low-surrogate": '{"name": "\\udc00x"}',
+    "duplicate-keys": '{"id": 1, "id": 2}',
+    "deep-nesting": "[" * 200_000 + "]" * 200_000,
+    "graph-file-in-whitespace":
+        ' \r\n{"name": "k", "vertex_count": 2, "edges": [{"id": 0, "u": 0, "v": 1}]}\n\t',
+}
+
+
+@pytest.mark.parametrize("text", _FIXED_TEXTS.values(), ids=_FIXED_TEXTS.keys())
+def test_reader_matches_json_loads_on_fixed_texts(text):
+    assert _read_as(_load_json, text) == _read_as(json.loads, text)
 
 
 def _id_lists(obj) -> list:

@@ -397,19 +397,38 @@ def test_only_the_memo_root_uses_lru_cache():
     assert decorated == ["graph._memo"]
 
 
-def test_no_module_imports_dataclasses():
-    """Records are NamedTuples or small slotted classes: importing
-    ``dataclasses`` (and ``inspect`` with it) costs every CLI process
-    about 12 ms of start-up."""
-    importers = []
+def _module_level(tree: ast.AST):
+    """The nodes of a module outside its function bodies."""
+    for node in ast.iter_child_nodes(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            yield from _module_level(node)
+
+
+def test_import_policy_keeps_start_up_light():
+    """What every CLI process pays to import the package: no module imports
+    ``dataclasses`` (with ``inspect``, about 12 ms), none imports ``json`` when
+    imported (its regular expressions, about 1.4 ms; ``corpus`` reads and
+    writes JSON through ``_json``), and no record is a ``typing.NamedTuple``
+    or ``collections.namedtuple``, whose classes are built when imported
+    (``graph.Record`` is the one record base)."""
+    breaches = []
     for path in sorted((Path(__file__).parents[1] / "src" / "pmlattice").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        top = set(map(id, _module_level(tree)))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
                 modules = [node.module or ""]
+                breaches += [(path.stem, a.name) for a in node.names
+                             if a.name in ("NamedTuple", "namedtuple")]
             else:
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if name in ("NamedTuple", "namedtuple"):
+                    breaches.append((path.stem, name))
                 continue
-            if any(m.split(".")[0] == "dataclasses" for m in modules):
-                importers.append(path.stem)
-    assert importers == []
+            roots = {m.split(".")[0] for m in modules}
+            if "dataclasses" in roots or ("json" in roots and id(node) in top):
+                breaches.append((path.stem, "import " + ", ".join(sorted(roots))))
+    assert breaches == []

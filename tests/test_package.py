@@ -13,14 +13,16 @@ import pytest
 
 import pmlattice
 from pmlattice import cli, polytope
-from pmlattice.basis import find_intersection_pair
+from pmlattice.basis import (Basis, IntersectionPair, LatticeCharacterization, MergeContext,
+                             MergeResult, find_intersection_pair)
 from pmlattice.corpus import graph_to_file_dict
+from pmlattice.decomposition import DecompTree
 from pmlattice.errors import PreconditionViolated, VertexCapExceeded
-from pmlattice.graph import Cut, MultiGraph, make_cut
+from pmlattice.graph import Cut, MultiGraph, Record, make_cut
 from pmlattice.linalg import Lattice, hnf
-from pmlattice.matchings import PerfectMatching
-from pmlattice.polytope import Face
-from pmlattice.verifier import verify_property
+from pmlattice.matchings import MatchingTable, PerfectMatching
+from pmlattice.polytope import CutClass, Face, RankInfo, UncrossReport
+from pmlattice.verifier import PropertyReport, verify_property
 
 SRC = Path(__file__).parents[1] / "src" / "pmlattice"
 
@@ -47,7 +49,7 @@ def test_star_import_dir_and_unknown_names():
         exec("from pmlattice import no_such_name", {})
 
 
-def test_records_are_values():
+def test_graph_and_lattice_are_values():
     g = MultiGraph(3, ((0, 0, 1), (1, 1, 2)))
     same = MultiGraph(3, ((0, 0, 1), (1, 1, 2)))
     assert g == same and hash(g) == hash(same) == hash((3, ((0, 0, 1), (1, 1, 2))))
@@ -57,23 +59,91 @@ def test_records_are_values():
     assert lat == Lattice(2, ((2, 0), (0, 1))) and hash(lat) == hash(Lattice(2, ((2, 0), (0, 1))))
     assert lat != Lattice(2, ((1, 0), (0, 1)))
     assert repr(lat) == "Lattice(ambient_dim=2, basis=((2, 0), (0, 1)))"
-    cut = make_cut(g, [0])
-    assert cut == Cut((0,), frozenset({0})) and hash(cut) == hash(Cut((0,), frozenset({0})))
+    assert make_cut(g, [0]) == Cut((0,), frozenset({0}))
     m = PerfectMatching(frozenset({0, 2}))
     assert m == PerfectMatching(frozenset({2, 0})) and 2 in m and 1 not in m
-    face = Face(0b101, 1)
-    assert face == Face(5, 1, (), ()) and face.key() == (0, 2)
-    for record, field in ((g, "edges"), (g, "vertex_count"), (lat, "basis"),
-                          (cut, "shore"), (m, "edge_ids"), (face, "mask")):
+    assert Face(0b101, 1).key() == (0, 2)
+    for record, field in ((g, "edges"), (g, "vertex_count"), (lat, "basis")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         with pytest.raises(AttributeError):
             delattr(record, field)
     with pytest.raises(AttributeError):
         g.extra = 1
-    for record in (g, lat, cut, m, face):
+    for record in (g, lat):
         assert copy.copy(record) == pickle.loads(pickle.dumps(record)) == record
         assert hash(copy.deepcopy(record)) == hash(record)
+
+
+# Every record class, with values for its fields, its repr as the
+# typing.NamedTuple it replaced printed it, and its defaults.  A record does
+# not check its values, so ints and strings stand in for the larger fields.
+RECORDS = [
+    (Cut, ((0,), frozenset({0})), "Cut(shore=(0,), boundary=frozenset({0}))", ()),
+    (RankInfo, (1, 2), "RankInfo(certified=1, fallbacks=2)", ()),
+    (PerfectMatching, (frozenset({0, 2}),), "PerfectMatching(edge_ids=frozenset({0, 2}))", ()),
+    (MatchingTable, ((4, 5), 1, (3,), (1, 2), (3, 3), (0, 1)),
+     "MatchingTable(ids=(4, 5), edge_pos=1, masks=(3,), cols=(1, 2), stars=(3, 3), "
+     "row_bits=(0, 1))", ()),
+    (DecompTree, ("g", None, None, "brick"),
+     "DecompTree(graph='g', cut=None, children=None, leaf_label='brick')", (None, None, None)),
+    (Face, (5, 1, (0,), ()), "Face(mask=5, dim=1, exposed_by_edges=(0,), exposed_by_cuts=())",
+     ((), ())),
+    (CutClass, ("c", True, False, False, "f"),
+     "CutClass(cut='c', is_tight=True, is_separating=False, is_facet_defining=False, face='f')",
+     ()),
+    (UncrossReport, (True, True, (), False),
+     "UncrossReport(no_edge_between_differences=True, identity_holds=True, "
+     "violating_matchings=(), face_intersection_equal=False)", ()),
+    (Basis, ("g", (), "linear"), "Basis(graph='g', elements=(), kind='linear')", ()),
+    (MergeContext, ("g", "c", "b1", "b2", (0,), ((1,),), ((2,),), ()),
+     "MergeContext(graph='g', cut='c', b1='b1', b2='b2', cut_edges=(0,), i_orders=((1,),), "
+     "j_orders=((2,),), elements=())", ()),
+    (MergeResult, ("b", None, "ctx"), "MergeResult(basis='b', zstar=None, context='ctx')", ()),
+    (IntersectionPair, ("m", "c"), "IntersectionPair(matching='m', cut='c')", ()),
+    (LatticeCharacterization, (6, 4, 1, ((0,),), True, None, "L", "S"),
+     "LatticeCharacterization(matching_count=6, rank=4, index=1, parity_sets=((0,),), "
+     "equality_holds=True, two_x_in_lattice=None, lattice='L', saturation='S')", ()),
+    (PropertyReport, ("P-DIM", "k4", "pass", 3),
+     "PropertyReport(property_id='P-DIM', graph_name='k4', status='pass', certificate=3)", ()),
+]
+
+
+def test_every_record_class_is_listed():
+    assert set(Record.__subclasses__()) == {cls for cls, *_ in RECORDS}
+
+
+@pytest.mark.parametrize("cls, values, text, defaults", RECORDS,
+                         ids=[cls.__name__ for cls, *_ in RECORDS])
+def test_records_are_values(cls, values, text, defaults):
+    """Records keep the typing.NamedTuple behaviour the package relies on:
+    tuple equality and hash, the repr, keyword and default construction with
+    TypeError on a bad call, immutability, copy and pickle, ``_fields`` and
+    ``_asdict``."""
+    record = cls(*values)
+    assert type(record) is cls and record == values and hash(record) == hash(values)
+    assert repr(record) == text
+    fields = cls._fields
+    assert len(fields) == len(values) and [getattr(record, f) for f in fields] == list(values)
+    assert record._asdict() == dict(zip(fields, values))
+    assert cls(**record._asdict()) == cls(values[0], **dict(zip(fields[1:], values[1:]))) == record
+    required = len(values) - len(defaults)
+    assert cls(*values[:required]) == values[:required] + defaults
+    for args, kwargs in (
+            (values[:required - 1], {}),                        # missing
+            (values + (0,), {}),                                # extra
+            (values, {"no_such_field": 0}),                     # unknown
+            (values, {fields[0]: values[0]})):                  # given twice
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    for field in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert not hasattr(record, "__dict__")
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls and twin == record and hash(twin) == hash(record)
 
 
 def test_caps_have_one_owner():
